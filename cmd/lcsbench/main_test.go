@@ -82,17 +82,16 @@ func TestServeSweepJSON(t *testing.T) {
 	if !strings.Contains(tbl.Title, "E14") {
 		t.Fatalf("unexpected table: %q", tbl.Title)
 	}
-	// 2 executor settings × (batch 1: one walk row + batch 4: bitparallel
-	// and scalar kernel rows).
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("want 6 sweep rows, got %d", len(tbl.Rows))
+	// 2 executor settings × 2 batch sizes, every row the warm tree walk.
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("want 4 sweep rows, got %d", len(tbl.Rows))
 	}
 	kernels := map[string]int{}
 	for _, row := range tbl.Rows {
 		kernels[row[3]]++
 	}
-	if kernels["walk"] != 2 || kernels["bitparallel"] != 2 || kernels["scalar"] != 2 {
-		t.Fatalf("unexpected kernel dimension: %v", kernels)
+	if kernels["walk"] != 4 || len(kernels) != 1 {
+		t.Fatalf("unexpected kernel column: %v", kernels)
 	}
 	if _, ok := tbl.Meta["build_ms"]; !ok {
 		t.Fatalf("missing build_ms meta: %v", tbl.Meta)
@@ -349,14 +348,11 @@ func TestMetricsOut(t *testing.T) {
 		}
 		counters[key] = c.Value
 	}
-	// 2 executor settings × 8 queries per sweep point: 16 walk singles, and
-	// one bitparallel + one scalar group per executor setting (batch 4,
-	// 8 queries → 2 groups each).
-	if counters["lcs_serve_kernel_runs_total:walk"] != 16 {
-		t.Fatalf("walk kernel runs = %d, want 16", counters["lcs_serve_kernel_runs_total:walk"])
-	}
-	if counters["lcs_serve_kernel_runs_total:bitparallel"] == 0 || counters["lcs_serve_kernel_runs_total:scalar"] == 0 {
-		t.Fatalf("batch kernel counters missing: %v", counters)
+	// 2 executor settings × 2 batch sizes × 8 queries with distinct
+	// sources: 16 walk singles plus 16 batched walks (batch 4 → 2 groups of
+	// 4 distinct roots each).
+	if counters["lcs_serve_kernel_runs_total:walk"] != 32 {
+		t.Fatalf("walk kernel runs = %d, want 32", counters["lcs_serve_kernel_runs_total:walk"])
 	}
 	if counters["lcs_serve_coalesce_in_total"] == 0 {
 		t.Fatalf("coalesce counters missing: %v", counters)

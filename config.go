@@ -71,10 +71,6 @@ type Config struct {
 	// ServerSeed derives per-query randomness (0 = from Seed, else 1).
 	Executors  int
 	ServerSeed int64
-	// DisableBitParallel forces a server's batched SSSP groups onto the
-	// scalar random-delay kernel even when the snapshot tree admits the
-	// bit-parallel fast path. Answers are identical either way.
-	DisableBitParallel bool
 	// DilationCutoff bounds the exact per-part dilation computation in
 	// snapshot builds (0 = default 3000; negative = always exact).
 	DilationCutoff int
@@ -289,15 +285,6 @@ func WithExecutors(n int) Option {
 // WithSeed when given, else the server default).
 func WithServerSeed(seed int64) Option { return func(c *Config) { c.ServerSeed = seed } }
 
-// WithBitParallel toggles the bit-parallel multi-source kernel on a
-// server's batched SSSP groups (on by default for eligible snapshot trees).
-// Passing false pins the scalar random-delay kernel — distances are
-// identical either way; the knob exists for benchmarking the kernels
-// against each other and as an escape hatch.
-func WithBitParallel(on bool) Option {
-	return func(c *Config) { c.DisableBitParallel = !on }
-}
-
 // WithDilationCutoff bounds the exact per-part dilation computation in
 // snapshot builds (negative = always exact).
 func WithDilationCutoff(n int) Option { return func(c *Config) { c.DilationCutoff = n } }
@@ -373,7 +360,7 @@ func WithBatchWindow(d time.Duration) Option {
 }
 
 // WithMaxBatch flushes a gateway's coalescing window early once this many
-// queries are parked (0 = 64, the bit-parallel kernel's word width).
+// queries are parked (0 = 64).
 func WithMaxBatch(n int) Option {
 	return func(c *Config) {
 		if n < 0 {

@@ -29,8 +29,8 @@ type ssspWaiter struct {
 // request opens a window of length `window`; every sssp request arriving
 // inside it joins the same ServeBatchCtx call, whose in-batch duplicate-
 // root coalescing answers identical roots with one traversal. The window
-// flushes early at maxBatch waiters (the bit-parallel kernel's word width —
-// a fuller batch would split into a second execution anyway).
+// flushes early at maxBatch waiters, which bounds how long one executor is
+// held by a single batch.
 //
 // Waiters hold their admission slots while parked, so a coalescing gateway
 // sheds at exactly the same depth as a non-coalescing one.

@@ -7,37 +7,25 @@ import (
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/reproerr"
-	"repro/internal/sched"
-	"repro/internal/sssp"
 )
 
-// parcUnvisited is the parc-matrix sentinel: the kernels write only parent
-// arcs (>= 0) and -1 at roots, so any value below -1 marks a cell they never
-// touched — a (task, node) pair outside the task root's component.
-const parcUnvisited int32 = -2
-
-// ServeBatch answers a batch of queries, grouping same-kind queries so they
-// share work: all SSSP queries in the batch run as parallel scheduled BFS
-// tasks over the snapshot tree in ONE random-delay scheduler execution (the
-// batch's shared simulated cost is reported on each grouped answer); other
-// kinds are answered individually. The returned slice is aligned with the
-// input; every answer is identical to what Serve would return for the same
-// query (batched SSSP answers differ only in their Rounds/Messages
-// accounting, which reflects the shared execution).
-//
-// The whole batch runs on one checked-out executor with one pinned
-// snapshot: against a store-backed server, a concurrent epoch swap never
-// splits a batch across snapshots.
+// ServeBatch answers a batch of queries on one checked-out executor with
+// one pinned snapshot: against a store-backed server, a concurrent epoch
+// swap never splits a batch across snapshots. SSSP queries are grouped so a
+// source that appears several times is walked once and its distances are
+// copied to the duplicates; other kinds are answered individually. The
+// returned slice is aligned with the input, and every answer is identical
+// to what Serve would return for the same query.
 func (s *Server) ServeBatch(queries []Query) ([]Answer, error) {
 	return s.ServeBatchCtx(nil, queries)
 }
 
 // ServeBatchCtx is ServeBatch with cooperative cancellation: the context
-// gates the executor checkout and is threaded into the batch's shared
-// scheduler execution, which checks it once per drain round — a canceled
-// batch aborts within one round, returns a reproerr.KindCanceled/
-// KindDeadline error wrapping ctx.Err(), and leaves the executor pool fully
-// usable for the next query. A nil ctx behaves like context.Background.
+// gates the executor checkout and is polled between the SSSP group's tree
+// walks and threaded into the other queries — a canceled batch aborts
+// within one walk, returns a reproerr.KindCanceled/KindDeadline error
+// wrapping ctx.Err(), and leaves the executor pool fully usable for the
+// next query. A nil ctx behaves like context.Background.
 func (s *Server) ServeBatchCtx(ctx context.Context, queries []Query) ([]Answer, error) {
 	answers := make([]Answer, len(queries))
 
@@ -59,7 +47,7 @@ func (s *Server) ServeBatchCtx(ctx context.Context, queries []Query) ([]Answer, 
 	if len(ssspIdx) > 1 {
 		t0 := s.m.nowIf()
 		gr, err = s.serveSSSPGroup(ctx, l, queries, ssspIdx, answers)
-		s.m.record(KindSSSP, gr.kernel, l, int32(gr.tasks), wait, s.m.sinceNs(t0), err)
+		s.m.record(KindSSSP, kernelWalk, l, int32(gr.tasks), wait, s.m.sinceNs(t0), err)
 		if err != nil {
 			return nil, fmt.Errorf("serve: batched sssp: %w", err)
 		}
@@ -98,13 +86,12 @@ func kindOf(q Query) any {
 	return q.queryKind()
 }
 
-// serveSSSPGroup runs every SSSP query of the batch as one batched BFS
-// execution restricted to the pinned snapshot's tree edges (see
-// serveSSSPDists for coalescing and kernel routing), then materializes one
-// answer per query.
+// serveSSSPGroup answers every SSSP query of the batch through
+// serveSSSPDists, then materializes one answer per query — the same answer
+// Serve gives, walk cost included.
 func (s *Server) serveSSSPGroup(ctx context.Context, l lease, queries []Query, idx []int, answers []Answer) (groupRun, error) {
-	ex := l.ex
-	n := l.sn.g.NumNodes()
+	sn, ex := l.sn, l.ex
+	n := sn.g.NumNodes()
 	srcs := ex.batchSrcs[:0]
 	for _, i := range idx {
 		srcs = append(srcs, queries[i].(SSSPQuery).Source)
@@ -122,68 +109,41 @@ func (s *Server) serveSSSPGroup(ctx context.Context, l lease, queries []Query, i
 	if err != nil {
 		return gr, err
 	}
-	stats := gr.stats
 	for t, i := range idx {
 		answers[i] = &SSSPAnswer{
 			Source: srcs[t],
 			Dist:   ex.batchDists[t],
-			Cost:   cost.Cost{Rounds: stats.Rounds, Messages: stats.Messages, SchedStats: stats},
+			Cost:   cost.Cost{Rounds: sn.servRounds, Messages: sn.servMessages},
 		}
 		ex.batchDists[t] = nil // the answer owns it now; don't pin it in the pool
 	}
 	return gr, nil
 }
 
-// groupRun reports one batched SSSP group execution: the shared scheduled
-// stats, the kernel that ran it, and the task count after duplicate-root
-// coalescing.
+// groupRun reports one batched SSSP group: the walk count after
+// duplicate-root coalescing, and the queries that entered the group (0 on
+// error).
 type groupRun struct {
-	stats  sched.Stats
-	kernel uint8
-	tasks  int
-	in     int // queries entering the group, before coalescing (0 on error)
+	tasks int
+	in    int
 }
 
 // serveSSSPDists is the batch-group core shared by ServeBatch and the warm
-// ServeSSSPBatchInto path: it runs srcs as tasks of ONE batched BFS over the
-// pinned snapshot's tree and writes slot i's weighted distances into dsts[i]
-// (each already sized to NumNodes).
+// ServeSSSPBatchInto path: it writes slot i's weighted tree distances from
+// srcs[i] into dsts[i] (each already sized to NumNodes).
 //
-// Duplicate sources are coalesced before execution — the gateway-coalescing
-// primitive: each distinct root becomes one BFS task, and duplicate slots
-// are fanned back out by copying the first slot's distances.
-//
-// The group executes on the snapshot's tree-only subgraph (treeG): the same
-// node IDs, but only tree edges, so the kernels scan ~2 arcs per visit
-// instead of the full graph's degree and pay no membership-filter closure
-// per arc. The group runs in the kernels' streaming mode: no forest is
-// materialized and no per-visit callback is paid — on the server's default
-// sequential drain each first visit appends one entry to an ordered visit
-// log (sched.Options.VisitOrder); under parallel workers it is one parent-
-// arc store into the task-major parc matrix (sched.Options.ParcInto). A
-// call-free resolution pass afterwards converts parent arcs into weighted
-// distances — replaying the log in order, or chain-walking the matrix —
-// computing row[v] = row[parent] + weight(arc): the exact parent-before-
-// child additions the warm single-query walk performs, so the results are
-// bit-identical to sssp.DistancesInto. Cells the kernels never touched
-// resolve to Infinite (other forest components).
-//
-// Kernel routing: when the snapshot's tree index is a forest (always, for
-// MST-derived snapshots) and the server doesn't disable it, the group runs
-// on the bit-parallel kernel — 64 sources per frontier word, no delays, no
-// Rng consumption — which answers bit-identically to the scalar random-delay
-// kernel on forest-restricted runs (pinned by the sched equivalence suite).
-// Ineligible trees and DisableBitParallel fall back to the scalar kernel
-// under the usual per-query randomized delays.
+// Duplicate sources are coalesced first — the gateway-coalescing
+// primitive: each distinct root is walked once with sssp.DistancesInto on
+// the executor's scratch, and duplicate slots are filled by copying the
+// first slot's distances. The context is polled between walks.
 func (s *Server) serveSSSPDists(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (groupRun, error) {
 	sn, ex := l.sn, l.ex
 	n := sn.g.NumNodes()
 	// Coalesce: rootMark is all-zero outside this window; it holds 1+task
-	// for roots seen in this batch and is re-zeroed before running (O(batch),
+	// for roots seen in this batch and is re-zeroed before walking (O(batch),
 	// not O(n)).
 	ex.rootMark = growInt32(ex.rootMark, n)
 	ex.taskOf = growInt32(ex.taskOf, len(srcs))
-	tasks := ex.batchTasks[:0]
 	taskSlot := ex.taskSlot[:0]
 	var badSrc graph.NodeID = -1
 	for i, src := range srcs {
@@ -195,136 +155,28 @@ func (s *Server) serveSSSPDists(ctx context.Context, l lease, srcs []graph.NodeI
 			ex.taskOf[i] = m - 1
 			continue
 		}
-		tasks = append(tasks, sched.BFSTask{Root: src, DepthLimit: -1})
 		taskSlot = append(taskSlot, int32(i))
-		ex.rootMark[src] = int32(len(tasks))
-		ex.taskOf[i] = int32(len(tasks) - 1)
+		ex.rootMark[src] = int32(len(taskSlot))
+		ex.taskOf[i] = int32(len(taskSlot) - 1)
 	}
-	ex.batchTasks, ex.taskSlot = tasks, taskSlot
-	for _, t := range tasks {
-		ex.rootMark[t.Root] = 0
+	ex.taskSlot = taskSlot
+	for _, fs := range taskSlot {
+		ex.rootMark[srcs[fs]] = 0
 	}
 	if badSrc != -1 {
-		return groupRun{kernel: kernelScalar}, reproerr.Invalid("sssp", "source %d out of range [0,%d)", badSrc, n)
+		return groupRun{}, reproerr.Invalid("sssp", "source %d out of range [0,%d)", badSrc, n)
 	}
 
-	// Streaming destinations: the sequential visit log (the server-default
-	// drain — resolution replays it in one branch-light scan) and the parc
-	// matrix for parallel drains. With Workers ≤ 1 sched guarantees the log
-	// is recorded and the matrix untouched, so its sentinel prefill is
-	// skipped entirely on the default configuration.
-	ex.parcs = growInt32(ex.parcs, len(tasks)*n)
-	ex.order = growInt64(ex.order, len(tasks)*n)
-	if s.opts.Workers > 1 || s.opts.Workers < 0 {
-		for i := range ex.parcs {
-			ex.parcs[i] = parcUnvisited
-		}
-		if cap(ex.pstack) < n {
-			ex.pstack = make([]int32, 0, n) // chain depth is bounded by n
-		}
-	}
-	kernel := kernelScalar
-	if !s.opts.DisableBitParallel && sn.ti.BitParallelEligible() {
-		kernel = kernelBitParallel
-	}
-	var stats sched.Stats
 	var err error
 	if s.prof != nil {
-		stats, err = s.runGroupKernelProf(ctx, l, kernel, tasks)
+		err = s.walkRootsProf(ctx, l, srcs, dsts)
 	} else {
-		stats, err = s.runGroupKernel(ctx, l, kernel, tasks)
+		err = walkRoots(ctx, l, srcs, dsts)
 	}
 	if err != nil {
-		return groupRun{stats: stats, kernel: kernel, tasks: len(tasks)}, err
+		return groupRun{tasks: len(taskSlot)}, err
 	}
-	s.m.kernelRun(kernel)
-	s.m.group(len(srcs), len(tasks), stats)
-
-	tg, arcW := sn.treeG, sn.treeArcW
-	if ov := stats.OrderedVisits; ov >= 0 {
-		// Sequential drain: replay the log. Entries are in visit order, so
-		// every parent's distance is in place when a child reads it, and the
-		// additions are exactly the warm walk's. When the log covers every
-		// (task, node) pair the Infinite prefill is skipped — every cell is
-		// about to be overwritten anyway.
-		if ov < len(tasks)*n {
-			for _, fs := range taskSlot {
-				row := dsts[fs]
-				for v := range row {
-					row[v] = sssp.Infinite
-				}
-			}
-		}
-		if cap(ex.taskRows) < len(tasks) {
-			ex.taskRows = make([][]float64, len(tasks))
-		}
-		rows := ex.taskRows[:len(tasks)]
-		for t, fs := range taskSlot {
-			rows[t] = dsts[fs]
-		}
-		heads, tails := tg.ArcTargets(), tg.ArcTails()
-		for _, e := range ex.order[:ov] {
-			p := int32(uint32(e))
-			row := rows[e>>32]
-			if p < 0 {
-				row[tasks[e>>32].Root] = 0
-				continue
-			}
-			row[heads[p]] = row[tails[p]] + arcW[p]
-		}
-		for t := range rows {
-			rows[t] = nil // don't pin the caller's rows in the pool
-		}
-	} else {
-		// Parallel drain: resolve from the parc matrix. Rows double as the
-		// progress marker — prefilled Infinite, finite once computed — and
-		// each unresolved parent chain is walked up to its first resolved
-		// ancestor (or the root), then unwound parent-before-child. Chains
-		// re-walk no resolved cells, so the pass is O(n) amortized per task.
-		tails := tg.ArcTails()
-		for _, fs := range taskSlot {
-			row := dsts[fs]
-			for v := range row {
-				row[v] = sssp.Infinite
-			}
-		}
-		for t := range tasks {
-			row := dsts[taskSlot[t]]
-			prow := ex.parcs[t*n : (t+1)*n]
-			stack := ex.pstack[:0]
-			for v, p := range prow {
-				if p == parcUnvisited { // other component: row stays Infinite
-					continue
-				}
-				if p < 0 { // root
-					row[v] = 0
-					continue
-				}
-				x, px := int32(v), p
-				for {
-					u := tails[px]
-					if du := row[u]; du < sssp.Infinite {
-						row[x] = du + arcW[px]
-						break
-					}
-					stack = append(stack, x)
-					x = u
-					px = prow[x] // a visit's parent is a visit: never parcUnvisited
-					if px < 0 {  // unresolved root
-						row[x] = 0
-						break
-					}
-				}
-				for len(stack) > 0 {
-					c := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					pc := prow[c]
-					row[c] = row[tails[pc]] + arcW[pc]
-				}
-			}
-			ex.pstack = stack
-		}
-	}
+	s.m.group(len(srcs), len(taskSlot))
 
 	for i := range srcs {
 		t := ex.taskOf[i]
@@ -332,44 +184,43 @@ func (s *Server) serveSSSPDists(ctx context.Context, l lease, srcs []graph.NodeI
 			copy(dsts[i], dsts[fs]) // coalesced duplicate: fan the answer out
 		}
 	}
-	return groupRun{stats: stats, kernel: kernel, tasks: len(tasks), in: len(srcs)}, nil
+	return groupRun{tasks: len(taskSlot), in: len(srcs)}, nil
 }
 
-// runGroupKernel dispatches one batched BFS group to the routed kernel.
-func (s *Server) runGroupKernel(ctx context.Context, l lease, kernel uint8, tasks []sched.BFSTask) (sched.Stats, error) {
-	sn, ex := l.sn, l.ex
-	if kernel == kernelBitParallel {
-		return ex.runner.ParallelBFSBitInto(&ex.forest, sn.treeG, tasks, sched.Options{
-			Workers:    s.opts.Workers,
-			Ctx:        ctx,
-			ParcInto:   ex.parcs,
-			VisitOrder: ex.order,
-		})
+// walkRoots runs one warm tree walk per distinct root (the executor's
+// taskSlot), polling ctx before each.
+func walkRoots(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) error {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	return ex.runner.ParallelBFSInto(&ex.forest, sn.treeG, tasks, sched.Options{
-		MaxDelay:   len(tasks),
-		Rng:        s.queryRng(KindSSSP, int64(len(tasks))),
-		Workers:    s.opts.Workers,
-		Ctx:        ctx,
-		ParcInto:   ex.parcs,
-		VisitOrder: ex.order,
-	})
+	ti, ex := l.sn.ti, l.ex
+	for _, fs := range ex.taskSlot {
+		if done != nil {
+			select {
+			case <-done:
+				return reproerr.FromContext("serve", ctx.Err())
+			default:
+			}
+		}
+		if _, err := ti.DistancesInto(dsts[fs], srcs[fs], &ex.treeScratch); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// runGroupKernelProf is runGroupKernel under the kernel's pprof label set —
-// its own method so the closure's captures heap-allocate only when
-// profiling is on (the unprofiled warm batch path asserts 0 allocs/op).
-func (s *Server) runGroupKernelProf(ctx context.Context, l lease, kernel uint8, tasks []sched.BFSTask) (stats sched.Stats, err error) {
-	doProf(ctx, s.prof.kernel[kernel], func() {
-		stats, err = s.runGroupKernel(ctx, l, kernel, tasks)
-	})
-	return stats, err
+// walkRootsProf is walkRoots under the walk kernel's pprof label set — its
+// own method so the closure's captures heap-allocate only when profiling is
+// on (the unprofiled warm batch path asserts 0 allocs/op).
+func (s *Server) walkRootsProf(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (err error) {
+	doProf(ctx, s.prof.kernel[kernelWalk], func() { err = walkRoots(ctx, l, srcs, dsts) })
+	return err
 }
 
-// ServeSSSPBatchInto is the allocation-free warm batch path: every source
-// runs as a task of one coalesced batch-group BFS over the snapshot tree
-// (bit-parallel whenever eligible — see serveSSSPDists), and slot i's
-// weighted distances are written into dst[i]. dst is grown to len(srcs)
+// ServeSSSPBatchInto is the allocation-free warm batch path: each distinct
+// source is walked once over the snapshot tree on one executor (see
+// serveSSSPDists), and slot i's weighted distances are written into dst[i]. dst is grown to len(srcs)
 // rows and each row to NumNodes, reusing capacity; the grown dst is
 // returned. With warm capacity and a warm executor the whole batch performs
 // zero allocations — the property CI's benchmark smoke asserts.
@@ -378,8 +229,7 @@ func (s *Server) ServeSSSPBatchInto(dst [][]float64, srcs []graph.NodeID) ([][]f
 }
 
 // ServeSSSPBatchIntoCtx is ServeSSSPBatchInto with cooperative cancellation
-// gating the executor checkout and threaded into the batched execution at
-// round granularity.
+// gating the executor checkout and polled between walks.
 func (s *Server) ServeSSSPBatchIntoCtx(ctx context.Context, dst [][]float64, srcs []graph.NodeID) ([][]float64, error) {
 	if len(srcs) == 0 {
 		return dst[:0], nil
@@ -406,7 +256,7 @@ func (s *Server) ServeSSSPBatchIntoCtx(ctx context.Context, dst [][]float64, src
 	}
 	t0 := s.m.nowIf()
 	gr, err := s.serveSSSPDists(ctx, l, srcs, dst)
-	s.m.record(KindSSSP, gr.kernel, l, int32(gr.tasks), wait, s.m.sinceNs(t0), err)
+	s.m.record(KindSSSP, kernelWalk, l, int32(gr.tasks), wait, s.m.sinceNs(t0), err)
 	if err != nil {
 		return dst, err
 	}
@@ -421,13 +271,6 @@ func (s *Server) ServeSSSPBatchIntoCtx(ctx context.Context, dst [][]float64, src
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
 	}
 	return s[:n]
 }

@@ -1,11 +1,12 @@
 package serve_test
 
-// Bit-parallel batch serving tests: kernel routing, duplicate-root
-// coalescing, the allocation-free warm batch path, and a mixed-kernel
-// concurrency stress (run under -race in CI).
+// Batch serving tests: batch versus single-query agreement, duplicate-root
+// coalescing, the allocation-free warm batch path, and a concurrency stress
+// of batches racing single queries (run under -race in CI).
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -34,50 +35,40 @@ func ssspBatch(srcs []graph.NodeID) []serve.Query {
 	return qs
 }
 
-// TestServeBatchKernelsAgree pins the tentpole end to end: the bit-parallel
-// batch path must answer exactly what the scalar random-delay path and the
-// warm single-query walk answer — across batch sizes spanning the 64-source
-// word boundary — while delivering strictly fewer simulated messages (the
-// word-packing is observable in the answers' shared cost accounting).
+// TestServeBatchKernelsAgree pins the batch walk against the single-query
+// walk across batch sizes spanning the 64-source word boundary: every
+// ServeBatch answer DeepEquals Serve's (cost included), every
+// ServeSSSPBatchInto row holds the same distances, and both match the
+// reference tree walk.
 func TestServeBatchKernelsAgree(t *testing.T) {
 	fx := makeFixture(t, 400, 31)
-	bit := serve.NewServer(fx.snap, serve.ServerOptions{Workers: 2})
-	scalar := serve.NewServer(fx.snap, serve.ServerOptions{Workers: 2, DisableBitParallel: true})
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2})
 
-	for _, batch := range []int{2, 63, 64, 65, 130} {
-		srcs := batchSources(fx.g.NumNodes(), batch)
-		qs := ssspBatch(srcs)
-		bitAns, err := bit.ServeBatch(qs)
+	for _, size := range []int{2, 63, 64, 65, 130} {
+		srcs := batchSources(fx.g.NumNodes(), size)
+		ans, err := srv.ServeBatch(ssspBatch(srcs))
 		if err != nil {
-			t.Fatalf("batch=%d: bit: %v", batch, err)
+			t.Fatalf("batch=%d: %v", size, err)
 		}
-		scalAns, err := scalar.ServeBatch(qs)
+		rows, err := srv.ServeSSSPBatchInto(nil, srcs)
 		if err != nil {
-			t.Fatalf("batch=%d: scalar: %v", batch, err)
+			t.Fatalf("batch=%d: batch-into: %v", size, err)
 		}
-		for i := range qs {
-			b := bitAns[i].(*serve.SSSPAnswer)
-			sc := scalAns[i].(*serve.SSSPAnswer)
-			for v := range b.Dist {
-				if b.Dist[v] != sc.Dist[v] {
-					t.Fatalf("batch=%d query %d: dist[%d] bit %v vs scalar %v", batch, i, v, b.Dist[v], sc.Dist[v])
-				}
+		for i, src := range srcs {
+			single, err := srv.Serve(serve.SSSPQuery{Source: src})
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := referenceTreeDist(fx.g, fx.w, fx.snap.Tree(), srcs[i])
-			for v := range want {
-				if b.Dist[v] != want[v] {
-					t.Fatalf("batch=%d query %d: dist[%d]=%v, reference %v", batch, i, v, b.Dist[v], want[v])
-				}
+			if !reflect.DeepEqual(ans[i], single) {
+				t.Fatalf("batch=%d query %d: batched answer differs from Serve's", size, i)
 			}
-		}
-		b0 := bitAns[0].(*serve.SSSPAnswer)
-		s0 := scalAns[0].(*serve.SSSPAnswer)
-		if batch >= 63 && b0.SchedStats.Messages >= s0.SchedStats.Messages {
-			t.Fatalf("batch=%d: bit kernel delivered %d messages, scalar %d — word packing not engaged",
-				batch, b0.SchedStats.Messages, s0.SchedStats.Messages)
-		}
-		if b0.SchedStats.MaxQueue > 1 {
-			t.Fatalf("batch=%d: bit path MaxQueue=%d, want <=1 (OR-merge)", batch, b0.SchedStats.MaxQueue)
+			if !reflect.DeepEqual(rows[i], single.(*serve.SSSPAnswer).Dist) {
+				t.Fatalf("batch=%d query %d: ServeSSSPBatchInto row differs from Serve's distances", size, i)
+			}
+			want := referenceTreeDist(fx.g, fx.w, fx.snap.Tree(), src)
+			if !reflect.DeepEqual(single.(*serve.SSSPAnswer).Dist, want) {
+				t.Fatalf("batch=%d query %d: distances differ from the reference walk", size, i)
+			}
 		}
 	}
 }
@@ -153,7 +144,7 @@ func TestServeSSSPBatchInto(t *testing.T) {
 }
 
 // TestServeSSSPBatchIntoAllocs pins the 0 allocs/op property of the warm
-// bit-parallel batch path — the CI bench smoke's assertion, as a plain test.
+// batch path — the CI bench smoke's assertion, as a plain test.
 func TestServeSSSPBatchIntoAllocs(t *testing.T) {
 	fx := makeFixture(t, 400, 37)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
@@ -163,7 +154,7 @@ func TestServeSSSPBatchIntoAllocs(t *testing.T) {
 		dst[i] = make([]float64, fx.g.NumNodes())
 	}
 	var err error
-	for i := 0; i < 2; i++ { // warm executor scratch and runner
+	for i := 0; i < 2; i++ { // warm executor scratch
 		if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil {
 			t.Fatal(err)
 		}
@@ -178,17 +169,14 @@ func TestServeSSSPBatchIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestServeBatchMixedKernelStress hammers one snapshot from concurrent
-// batches on a bit-parallel server and a scalar server at once (shared
-// graph, disjoint executor pools), verifying every answer against the
-// reference. The CI -race leg runs this to pin the kernels' shard safety
+// TestServeBatchConcurrentStress hammers one snapshot from concurrent
+// goroutines mixing ServeBatch groups, ServeSSSPBatchInto rows and single
+// queries on one two-executor pool, verifying every answer against the
+// reference. The CI -race leg runs this to pin executor-scratch ownership
 // under real concurrency.
-func TestServeBatchMixedKernelStress(t *testing.T) {
+func TestServeBatchConcurrentStress(t *testing.T) {
 	fx := makeFixture(t, 240, 39)
-	servers := []*serve.Server{
-		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Workers: 3}),
-		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Workers: 3, DisableBitParallel: true}),
-	}
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2})
 	n := fx.g.NumNodes()
 	want := make([][]float64, n)
 	for v := 0; v < n; v++ {
@@ -207,19 +195,40 @@ func TestServeBatchMixedKernelStress(t *testing.T) {
 		go func(gi int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				srv := servers[(gi+it)%2]
-				batch := 60 + (gi*17+it*31)%20 // straddle the word boundary
+				batch := 1 + (gi*17+it*31)%80
 				srcs := make([]graph.NodeID, batch)
 				for i := range srcs {
 					srcs[i] = graph.NodeID((gi*89 + it*53 + i*7) % n)
 				}
-				ans, err := srv.ServeBatch(ssspBatch(srcs))
-				if err != nil {
-					errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
-					return
+				rows := make([][]float64, batch)
+				switch (gi + it) % 3 {
+				case 0:
+					ans, err := srv.ServeBatch(ssspBatch(srcs))
+					if err != nil {
+						errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
+						return
+					}
+					for i := range srcs {
+						rows[i] = ans[i].(*serve.SSSPAnswer).Dist
+					}
+				case 1:
+					var err error
+					if rows, err = srv.ServeSSSPBatchInto(nil, srcs); err != nil {
+						errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
+						return
+					}
+				default:
+					for i, s := range srcs {
+						a, err := srv.ServeSSSP(s)
+						if err != nil {
+							errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
+							return
+						}
+						rows[i] = a.Dist
+					}
 				}
 				for i, s := range srcs {
-					got := ans[i].(*serve.SSSPAnswer).Dist
+					got := rows[i]
 					for v := range got {
 						if got[v] != want[s][v] {
 							errs <- fmt.Errorf("g%d it%d src %d: dist[%d]=%v, want %v", gi, it, s, v, got[v], want[s][v])

@@ -127,7 +127,7 @@ func BenchmarkServeSSSPWarm(b *testing.B) {
 }
 
 // BenchmarkServeSSSPBatch32 answers 32 sources per ServeBatch call — one
-// shared scheduler execution per batch.
+// tree walk per distinct source, all on one executor.
 func BenchmarkServeSSSPBatch32(b *testing.B) {
 	fx := getBenchFixture(b, 10_000)
 	queries := make([]serve.Query, 32)
@@ -143,10 +143,9 @@ func BenchmarkServeSSSPBatch32(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSSSPWarmBatchInto is the allocation-free warm batch path on
-// the bit-parallel kernel: 64 sources per call — exactly one frontier word —
-// coalesced and answered by one scheduled execution. CI's benchmark smoke
-// asserts 0 allocs/op on it.
+// BenchmarkServeSSSPWarmBatchInto is the allocation-free warm batch path:
+// 64 sources per call, coalesced and answered by one tree walk per distinct
+// source on one executor. CI's benchmark smoke asserts 0 allocs/op on it.
 func BenchmarkServeSSSPWarmBatchInto(b *testing.B) {
 	fx := getBenchFixture(b, 10_000)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
@@ -171,14 +170,10 @@ func BenchmarkServeSSSPWarmBatchInto(b *testing.B) {
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 }
 
-// BenchmarkServeBatch is the bit-parallel tentpole's acceptance measurement
-// on ClusterChain n=1e5: the warm same-tree SSSP batch path at batch size
-// 64, bit-parallel kernel vs the scalar random-delay kernel (run explicitly
-// with -benchtime; the fixture build itself takes ~25 s). The bit arm packs
-// the whole batch into one frontier word per arc and must stay at
-// 0 allocs/op; the scalar arm pays per-task token traffic plus the
-// per-batch delay randomization. Recorded runs live in BENCH_serving.json
-// and the README serving-throughput note.
+// BenchmarkServeBatch is the warm same-tree SSSP batch path on
+// ClusterChain n=1e5 at batch size 64 (run explicitly with -benchtime; the
+// fixture build itself takes ~25 s): one tree walk per distinct source on
+// one executor, at 0 allocs/op. Recorded runs live in BENCH_serving.json.
 func BenchmarkServeBatch(b *testing.B) {
 	fx := getBenchFixture(b, 100_000)
 	const batch = 64
@@ -186,30 +181,23 @@ func BenchmarkServeBatch(b *testing.B) {
 	for i := range srcs {
 		srcs[i] = graph.NodeID(i * 1549 % fx.g.NumNodes())
 	}
-	for _, kernel := range []struct {
-		name    string
-		disable bool
-	}{{"bitparallel-64", false}, {"scalar-64", true}} {
-		b.Run(kernel.name, func(b *testing.B) {
-			srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1, DisableBitParallel: kernel.disable})
-			var dst [][]float64
-			var err error
-			if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil { // warm the executor
-				b.Fatal(err)
-			}
-			// The fixture build leaves tens of GB of garbage behind; collect it
-			// now so GC pauses don't land inside the timed region.
-			runtime.GC()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-		})
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
+	var dst [][]float64
+	var err error
+	if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil { // warm the executor
+		b.Fatal(err)
 	}
+	// The fixture build leaves tens of GB of garbage behind; collect it now
+	// so GC pauses don't land inside the timed region.
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 }
 
 // BenchmarkSSSPRebuildPerQuery is the pre-serving baseline: every query pays

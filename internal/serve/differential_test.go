@@ -310,10 +310,10 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 				assertSnapshotsEqual(t, tag, repaired, rebuilt)
 
 				// Query-for-query: identical servers over both snapshots.
-				mk := func(sn *serve.Snapshot, workers int) *serve.Server {
-					return serve.NewServer(sn, serve.ServerOptions{Executors: 2, Workers: workers, Seed: 99})
+				mk := func(sn *serve.Snapshot) *serve.Server {
+					return serve.NewServer(sn, serve.ServerOptions{Executors: 2, Seed: 99})
 				}
-				srvR, srvW := mk(repaired, repairWorkers), mk(rebuilt, rebuildWorkers)
+				srvR, srvW := mk(repaired), mk(rebuilt)
 				queries := []serve.Query{
 					serve.SSSPQuery{Source: 0},
 					serve.SSSPQuery{Source: graph.NodeID(g1.NumNodes() / 2)},

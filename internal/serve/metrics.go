@@ -11,13 +11,11 @@ import (
 	"repro/internal/sched"
 )
 
-// Kernel codes for kernel-routing counters and trace records: which
-// execution engine answered a query. "other" covers the non-SSSP kinds,
-// whose work is not a BFS kernel.
+// Kernel codes for kernel counters and trace records: which execution
+// engine answered a query. Every SSSP answer, single or batched, is a warm
+// tree walk; "other" covers the non-SSSP kinds.
 const (
-	kernelWalk        uint8 = iota // warm single-source tree walk
-	kernelBitParallel              // batched bit-parallel multi-source BFS
-	kernelScalar                   // batched scalar random-delay BFS
+	kernelWalk uint8 = iota // warm single-source tree walk
 	kernelOther
 	numKernels
 )
@@ -37,7 +35,7 @@ func traceNames() obs.TraceNames {
 	}
 	return obs.TraceNames{
 		Kinds:    kinds,
-		Kernels:  []string{"walk", "bitparallel", "scalar", "other"},
+		Kernels:  []string{"walk", "other"},
 		Outcomes: []string{"ok", "error", "canceled"},
 	}
 }
@@ -58,10 +56,6 @@ type serveMetrics struct {
 	batchTasks *obs.Histogram           // lcs_serve_batch_tasks
 	coalIn     *obs.Counter             // lcs_serve_coalesce_in_total
 	coalOut    *obs.Counter             // lcs_serve_coalesce_out_total
-	schedR     *obs.Counter             // lcs_sched_rounds_total
-	schedM     *obs.Counter             // lcs_sched_messages_total
-	schedLoad  *obs.Gauge               // lcs_sched_max_arc_load (peak)
-	schedQueue *obs.Gauge               // lcs_sched_max_queue (peak)
 	trace      *obs.TraceRing
 }
 
@@ -85,10 +79,6 @@ func newServeMetrics(reg *obs.Registry, traceDepth, poolSize int) *serveMetrics 
 	m.batchTasks = reg.Histogram("lcs_serve_batch_tasks")
 	m.coalIn = reg.Counter("lcs_serve_coalesce_in_total")
 	m.coalOut = reg.Counter("lcs_serve_coalesce_out_total")
-	m.schedR = reg.Counter("lcs_sched_rounds_total")
-	m.schedM = reg.Counter("lcs_sched_messages_total")
-	m.schedLoad = reg.Gauge("lcs_sched_max_arc_load")
-	m.schedQueue = reg.Gauge("lcs_sched_max_queue")
 	m.trace = reg.Trace(traceDepth, names)
 	return m
 }
@@ -145,29 +135,16 @@ func (m *serveMetrics) kernelRun(kernel uint8) {
 	m.kernelRuns[kernel].Inc()
 }
 
-// group accounts one batched SSSP group: the pre-coalescing query count,
-// the post-coalescing task count, and the shared scheduled execution's
-// Stats, bridged into the sched counters so the scheduler itself stays
-// obs-free.
-func (m *serveMetrics) group(in, tasks int, st sched.Stats) {
+// group accounts one batched SSSP group: the pre-coalescing query count
+// and the post-coalescing task count, each task one walk kernel run.
+func (m *serveMetrics) group(in, tasks int) {
 	if m == nil {
 		return
 	}
 	m.coalIn.Add(int64(in))
 	m.coalOut.Add(int64(tasks))
 	m.batchTasks.Observe(int64(tasks))
-	m.sched(st)
-}
-
-// sched folds one scheduled execution's Stats into the bridge metrics.
-func (m *serveMetrics) sched(st sched.Stats) {
-	if m == nil {
-		return
-	}
-	m.schedR.Add(int64(st.Rounds))
-	m.schedM.Add(st.Messages)
-	m.schedLoad.SetMax(int64(st.MaxArcLoad))
-	m.schedQueue.SetMax(int64(st.MaxQueue))
+	m.kernelRuns[kernelWalk].Add(int64(tasks))
 }
 
 // RecordSchedStats folds one scheduled execution's Stats into reg's

@@ -77,7 +77,8 @@ func TestServeMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One batch with a duplicated root: 4 in, 3 after coalescing.
+	// One batch with a duplicated root: 4 in, 3 after coalescing — three
+	// walks.
 	batch := []serve.Query{
 		serve.SSSPQuery{Source: 1}, serve.SSSPQuery{Source: 2},
 		serve.SSSPQuery{Source: 1}, serve.SSSPQuery{Source: 3},
@@ -95,13 +96,8 @@ func TestServeMetrics(t *testing.T) {
 		t.Fatalf("Stats coalesce = (%d, %d), want (4, 3)", st.CoalesceIn, st.CoalesceOut)
 	}
 	snap := reg.Snapshot()
-	if got := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "walk"}); got != singles {
-		t.Fatalf("walk kernel runs = %d, want %d", got, singles)
-	}
-	bit := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "bitparallel"})
-	scalar := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "scalar"})
-	if bit+scalar != 1 {
-		t.Fatalf("batch kernel runs = %d bitparallel + %d scalar, want exactly 1 total", bit, scalar)
+	if got := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "walk"}); got != singles+3 {
+		t.Fatalf("walk kernel runs = %d, want %d (singles plus one per distinct batch root)", got, singles+3)
 	}
 	if got := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "other"}); got != 1 {
 		t.Fatalf("other kernel runs = %d, want 1 (the MST query)", got)

@@ -46,14 +46,8 @@ const (
 
 	secTree = 16 // []int32, t (shortcut-MST edge IDs into g)
 
-	secTreeGOffsets   = 17 // tree-only CSR subgraph, same layout as 1..7
-	secTreeGNeighbors = 18
-	secTreeGArcEdge   = 19
-	secTreeGArcRev    = 20
-	secTreeGArcTail   = 21
-	secTreeGEdgeU     = 22
-	secTreeGEdgeV     = 23
-	secTreeArcW       = 24 // []float64, 2t (per-arc weights of treeG)
+	// 17..24 held a tree-only execution subgraph in format version 1; the
+	// IDs stay retired.
 
 	secTreeIdxOff = 25 // []int32, n+1
 	secTreeIdxTo  = 26 // []int32, 2t
@@ -64,7 +58,7 @@ const (
 )
 
 // metaSize is the exact byte length of the secMeta record.
-const metaSize = 219
+const metaSize = 210
 
 // metaBytes packs the scalar Snapshot state into the fixed meta record.
 // Field order is part of the format.
@@ -99,7 +93,6 @@ func (sn *Snapshot) metaBytes() []byte {
 	i64(sn.buildCost.SchedStats.Messages)
 	i64(int64(sn.buildCost.SchedStats.MaxArcLoad))
 	i64(int64(sn.buildCost.SchedStats.MaxQueue))
-	i64(int64(sn.buildCost.SchedStats.OrderedVisits))
 	i64(int64(sn.buildCost.Wall))
 	i64(int64(sn.s.Params.Diameter))
 	f64(sn.s.Params.KD)
@@ -107,8 +100,6 @@ func (sn *Snapshot) metaBytes() []byte {
 	f64(sn.s.Params.P)
 	i64(int64(sn.s.Params.Reps))
 	f64(sn.s.Params.LogFactor)
-	_, _, _, acyclic := sn.ti.Raw()
-	u8(acyclic)
 	u8(sn.repair != nil)
 	var ri RepairInfo
 	if sn.repair != nil {
@@ -120,12 +111,10 @@ func (sn *Snapshot) metaBytes() []byte {
 	return b
 }
 
-// decodedMeta is the unpacked secMeta record plus the tree-index acyclic bit
-// that rides in it.
+// decodedMeta is the unpacked secMeta record.
 type decodedMeta struct {
 	sn        Snapshot // scalar fields only
 	params    shortcut.Params
-	tiAcyclic bool
 	hasRepair bool
 	repair    RepairInfo
 }
@@ -168,7 +157,6 @@ func decodeMeta(b []byte) (dm decodedMeta, err error) {
 	sn.buildCost.SchedStats.Messages = i64()
 	sn.buildCost.SchedStats.MaxArcLoad = int(i64())
 	sn.buildCost.SchedStats.MaxQueue = int(i64())
-	sn.buildCost.SchedStats.OrderedVisits = int(i64())
 	sn.buildCost.Wall = time.Duration(i64())
 	dm.params.Diameter = int(i64())
 	dm.params.KD = f64()
@@ -176,9 +164,6 @@ func decodeMeta(b []byte) (dm decodedMeta, err error) {
 	dm.params.P = f64()
 	dm.params.Reps = int(i64())
 	dm.params.LogFactor = f64()
-	if dm.tiAcyclic, err = u8(); err != nil {
-		return dm, err
-	}
 	if dm.hasRepair, err = u8(); err != nil {
 		return dm, err
 	}
@@ -255,17 +240,7 @@ func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	i32(secPartDil, pd)
 
 	i32(secTree, sn.tree)
-	tc := sn.treeG.CSR()
-	i32(secTreeGOffsets, tc.Offsets)
-	i32(secTreeGNeighbors, tc.Neighbors)
-	i32(secTreeGArcEdge, tc.ArcEdge)
-	i32(secTreeGArcRev, tc.ArcRev)
-	i32(secTreeGArcTail, tc.ArcTail)
-	i32(secTreeGEdgeU, tc.EdgeU)
-	i32(secTreeGEdgeV, tc.EdgeV)
-	f64(secTreeArcW, sn.treeArcW)
-
-	tiOff, tiTo, tiWt, _ := sn.ti.Raw()
+	tiOff, tiTo, tiWt := sn.ti.Raw()
 	i32(secTreeIdxOff, tiOff)
 	i32(secTreeIdxTo, tiTo)
 	f64(secTreeIdxWt, tiWt)
@@ -563,31 +538,6 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 	}
 
 	tree := i32(secTree)
-	tc := graph.CSR{
-		Offsets:   i32(secTreeGOffsets),
-		Neighbors: i32(secTreeGNeighbors),
-		ArcEdge:   i32(secTreeGArcEdge),
-		ArcRev:    i32(secTreeGArcRev),
-		ArcTail:   i32(secTreeGArcTail),
-		EdgeU:     i32(secTreeGEdgeU),
-		EdgeV:     i32(secTreeGEdgeV),
-	}
-	treeArcW := f64(secTreeArcW)
-	if err != nil {
-		return nil, err
-	}
-	treeG, terr := graph.FromCSR(tc, verify)
-	if terr != nil {
-		return nil, corrupt("tree subgraph: %w", terr)
-	}
-	if treeG.NumNodes() != n || treeG.NumEdges() != len(tree) {
-		return nil, corrupt("tree subgraph: %d nodes / %d edges, want %d / %d",
-			treeG.NumNodes(), treeG.NumEdges(), n, len(tree))
-	}
-	if len(treeArcW) != treeG.NumArcs() {
-		return nil, corrupt("tree arc weights: %d entries for %d arcs", len(treeArcW), treeG.NumArcs())
-	}
-
 	tiOff := i32(secTreeIdxOff)
 	tiTo := i32(secTreeIdxTo)
 	tiWt := f64(secTreeIdxWt)
@@ -610,12 +560,12 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 		return nil, corrupt("tree index: shape %d/%d/%d for n=%d t=%d",
 			len(tiOff), len(tiTo), len(tiWt), n, len(tree))
 	}
-	ti, tierr := sssp.RawTreeIndex(tiOff, tiTo, tiWt, dm.tiAcyclic)
+	ti, tierr := sssp.RawTreeIndex(tiOff, tiTo, tiWt)
 	if tierr != nil {
 		return nil, corrupt("tree index: %w", tierr)
 	}
 	if verify {
-		if verr := verifyTree(g, w, tree, treeG, treeArcW, ti, dm.tiAcyclic); verr != nil {
+		if verr := verifyTree(g, w, tree, ti); verr != nil {
 			return nil, verr
 		}
 	}
@@ -628,8 +578,6 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 	sn.s = &shortcut.Shortcuts{P: p, H: h, Params: dm.params}
 	sn.partDil = partDil
 	sn.tree = tree
-	sn.treeG = treeG
-	sn.treeArcW = treeArcW
 	sn.ti = ti
 	sn.samplingSeed = hdr.Seed
 	sn.generation = hdr.Generation
@@ -720,71 +668,19 @@ func verifyPartition(g *graph.Graph, parts []shortcut.Part, partOf []int32) erro
 	return nil
 }
 
-// verifyTree runs the deep tree-state scan: the persisted MST edge list,
-// the tree-only execution subgraph with its per-arc weights, and the tree
-// index must all describe the same forest over g with weights w — exactly
-// the invariants the warm query paths index on without further checks.
-func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID,
-	treeG *graph.Graph, treeArcW []float64, ti *sssp.TreeIndex, acyclic bool) error {
+// verifyTree runs the deep tree-state scan: the persisted MST edge list
+// must be a forest of distinct in-range edges of g, and the tree index must
+// be exactly its adjacency under w — the invariants the warm walk indexes on
+// without further checks.
+func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.TreeIndex) error {
 	const op = "serve.LoadSnapshot"
 	corrupt := func(format string, args ...any) error {
 		return reproerr.Errorf(op, reproerr.KindCorrupt, format, args...)
 	}
-	m := int32(g.NumEdges())
+	n, m := g.NumNodes(), int32(g.NumEdges())
 	inTree := graph.NewBitset(g.NumEdges())
-	for _, e := range tree {
-		if e < 0 || e >= m {
-			return corrupt("tree: edge %d out of range [0,%d)", e, m)
-		}
-		if inTree.Has(e) {
-			return corrupt("tree: edge %d listed twice", e)
-		}
-		inTree.Set(e)
-	}
-	// treeG must realize exactly the tree edge set with g's weights: every
-	// treeG arc maps (via its endpoints) to a distinct tree edge of g and
-	// carries that edge's weight. Counts already match (NumEdges == len(tree)
-	// was checked), so per-arc membership makes it a bijection.
-	for a, arcs := int32(0), int32(treeG.NumArcs()); a < arcs; a++ {
-		u, v := treeG.ArcTail(a), treeG.ArcTarget(a)
-		e, ok := g.FindEdge(u, v)
-		if !ok {
-			return corrupt("tree subgraph: arc {%d,%d} is not an edge of the graph", u, v)
-		}
-		if !inTree.Has(e) {
-			return corrupt("tree subgraph: edge {%d,%d} is not a tree edge", u, v)
-		}
-		if treeArcW[a] != w[e] {
-			return corrupt("tree arc weights: arc {%d,%d} carries %g, graph weight is %g", u, v, treeArcW[a], w[e])
-		}
-	}
-	// The tree index must be the same adjacency: per node, same degree, and
-	// each indexed arc a tree edge with the matching weight.
-	tiOff, tiTo, tiWt, _ := ti.Raw()
-	for u := int32(0); u < int32(g.NumNodes()); u++ {
-		lo, hi := tiOff[u], tiOff[u+1]
-		if lo > hi {
-			return corrupt("tree index: offsets not monotone at node %d", u)
-		}
-		if hi-lo != int32(treeG.Degree(u)) {
-			return corrupt("tree index: node %d has degree %d, tree subgraph has %d", u, hi-lo, treeG.Degree(u))
-		}
-		for a := lo; a < hi; a++ {
-			v := tiTo[a]
-			if v < 0 || int(v) >= g.NumNodes() {
-				return corrupt("tree index: arc %d: target %d out of range", a, v)
-			}
-			e, ok := g.FindEdge(u, v)
-			if !ok || !inTree.Has(e) {
-				return corrupt("tree index: arc %d: {%d,%d} is not a tree edge", a, u, v)
-			}
-			if tiWt[a] != w[e] {
-				return corrupt("tree index: arc %d carries %g, graph weight is %g", a, tiWt[a], w[e])
-			}
-		}
-	}
-	// Recount acyclicity: the bit-parallel batch kernel trusts this flag.
-	uf := make([]int32, g.NumNodes())
+	deg := make([]int32, n)
+	uf := make([]int32, n)
 	for i := range uf {
 		uf[i] = int32(i)
 	}
@@ -795,18 +691,58 @@ func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID,
 		}
 		return x
 	}
-	isForest := true
 	for _, e := range tree {
+		if e < 0 || e >= m {
+			return corrupt("tree: edge %d out of range [0,%d)", e, m)
+		}
+		if inTree.Has(e) {
+			return corrupt("tree: edge %d listed twice", e)
+		}
+		inTree.Set(e)
 		u, v := g.EdgeEndpoints(e)
+		deg[u]++
+		deg[v]++
 		ru, rv := find(u), find(v)
 		if ru == rv {
-			isForest = false
-			break
+			return corrupt("tree: edge %d closes a cycle", e)
 		}
 		uf[ru] = rv
 	}
-	if isForest != acyclic {
-		return corrupt("tree index: stored acyclic=%v, recount says %v", acyclic, isForest)
+	// The index must list, at every node, exactly that node's tree edges
+	// with g's weights: the same degree, every arc a tree edge at the node,
+	// and no (edge, endpoint) pair twice. With the degrees matching, that
+	// makes the listing a bijection onto the tree's 2t edge ends.
+	seen := graph.NewBitset(2 * g.NumEdges())
+	tiOff, tiTo, tiWt := ti.Raw()
+	for u := int32(0); u < int32(n); u++ {
+		lo, hi := tiOff[u], tiOff[u+1]
+		if lo > hi {
+			return corrupt("tree index: offsets not monotone at node %d", u)
+		}
+		if hi-lo != deg[u] {
+			return corrupt("tree index: node %d has degree %d, tree edge list has %d", u, hi-lo, deg[u])
+		}
+		for a := lo; a < hi; a++ {
+			v := tiTo[a]
+			if v < 0 || int(v) >= n {
+				return corrupt("tree index: arc %d: target %d out of range", a, v)
+			}
+			e, ok := g.FindEdge(u, v)
+			if !ok || !inTree.Has(e) {
+				return corrupt("tree index: arc %d: {%d,%d} is not a tree edge", a, u, v)
+			}
+			end := 2 * e
+			if eu, _ := g.EdgeEndpoints(e); eu != u {
+				end++
+			}
+			if seen.Has(end) {
+				return corrupt("tree index: node %d lists tree edge %d twice", u, e)
+			}
+			seen.Set(end)
+			if tiWt[a] != w[e] {
+				return corrupt("tree index: arc %d carries %g, graph weight is %g", a, tiWt[a], w[e])
+			}
+		}
 	}
 	return nil
 }

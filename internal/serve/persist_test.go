@@ -3,11 +3,13 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -58,10 +60,10 @@ func persistQueries(g *graph.Graph, parts [][]graph.NodeID) []serve.Query {
 // assertServesIdentically drives both snapshots through every query family
 // (plus one batch) and requires bit-identical answers.
 func assertServesIdentically(t *testing.T, tag string, got, want *serve.Snapshot,
-	g *graph.Graph, parts [][]graph.NodeID, gotWorkers, wantWorkers int) {
+	g *graph.Graph, parts [][]graph.NodeID) {
 	t.Helper()
-	srvG := serve.NewServer(got, serve.ServerOptions{Executors: 2, Workers: gotWorkers, Seed: 99})
-	srvW := serve.NewServer(want, serve.ServerOptions{Executors: 2, Workers: wantWorkers, Seed: 99})
+	srvG := serve.NewServer(got, serve.ServerOptions{Executors: 2, Seed: 99})
+	srvW := serve.NewServer(want, serve.ServerOptions{Executors: 2, Seed: 99})
 	queries := persistQueries(g, parts)
 	for qi, q := range queries {
 		ag, err := srvG.Serve(q)
@@ -109,7 +111,7 @@ func TestPersistRoundTrip(t *testing.T) {
 			if err := serve.WriteSnapshotFile(path, sn); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			for mi, mode := range modes {
+			for _, mode := range modes {
 				t.Run(mode.name, func(t *testing.T) {
 					loaded, err := serve.LoadSnapshot(path, mode.opts)
 					if err != nil {
@@ -132,8 +134,7 @@ func TestPersistRoundTrip(t *testing.T) {
 						t.Fatalf("build cost %d/%d/%d, want %d/%d/%d", lr, lm, lp, br, bm, bp)
 					}
 					assertSnapshotsEqual(t, mode.name, loaded, sn)
-					assertServesIdentically(t, mode.name, loaded, sn, g, parts,
-						(fi+mi)%3, buildWorkers)
+					assertServesIdentically(t, mode.name, loaded, sn, g, parts)
 				})
 			}
 		})
@@ -158,7 +159,7 @@ func TestPersistStreamRoundTrip(t *testing.T) {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
 	assertSnapshotsEqual(t, "stream", loaded, sn)
-	assertServesIdentically(t, "stream", loaded, sn, g, parts, 1, 0)
+	assertServesIdentically(t, "stream", loaded, sn, g, parts)
 }
 
 // TestPersistAfterDelta pins the dynamic path across persistence: repair →
@@ -219,7 +220,7 @@ func TestPersistAfterDelta(t *testing.T) {
 		}
 	}
 	assertSnapshotsEqual(t, "gen1", loaded, repaired)
-	assertServesIdentically(t, "gen1", loaded, repaired, g1, parts, 0, 1)
+	assertServesIdentically(t, "gen1", loaded, repaired, g1, parts)
 
 	// Second delta, applied to both the loaded and the in-memory snapshot.
 	for attempt := 0; ; attempt++ {
@@ -298,6 +299,46 @@ func TestPersistCorruption(t *testing.T) {
 		t.Fatal("absent file accepted")
 	} else if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("absent file: %v does not wrap ErrNotExist", err)
+	}
+}
+
+// TestPersistRejectsFormatVersion1 pins the format bump: a container
+// labelled version 1 (the layout that still carried the tree-only execution
+// subgraph) is refused with a typed KindCorrupt error on every load path,
+// never reinterpreted under the current layout.
+func TestPersistRejectsFormatVersion1(t *testing.T) {
+	sn, _, _ := persistFixture(t, 0, 120, 0, 1701)
+	var buf bytes.Buffer
+	if _, err := sn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// The version word sits at header bytes [8:12) and footer bytes [12:16).
+	binary.LittleEndian.PutUint32(raw[8:12], 1)
+	binary.LittleEndian.PutUint32(raw[len(raw)-32+12:len(raw)-32+16], 1)
+
+	check := func(path string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: version-1 container accepted", path)
+		}
+		var e *reproerr.Error
+		if !errors.As(err, &e) || e.Kind != reproerr.KindCorrupt {
+			t.Fatalf("%s: want a KindCorrupt *reproerr.Error, got %v", path, err)
+		}
+		if !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("%s: error does not name the version: %v", path, err)
+		}
+	}
+	_, err := serve.ReadSnapshot(bytes.NewReader(raw), serve.LoadOptions{})
+	check("ReadSnapshot", err)
+	file := filepath.Join(t.TempDir(), "v1.lcsnap")
+	if err := os.WriteFile(file, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []serve.LoadOptions{{}, {NoMmap: true}, {SkipVerify: true}} {
+		_, err := serve.LoadSnapshot(file, opts)
+		check(fmt.Sprintf("LoadSnapshot%+v", opts), err)
 	}
 }
 

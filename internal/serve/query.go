@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/mincut"
+	"repro/internal/reproerr"
 	"repro/internal/shortcut"
 	"repro/internal/twoecss"
 )
@@ -63,9 +64,9 @@ type MinCutQuery struct{ Eps float64 }
 // snapshot's shortcut-MST (Corollary 4.3 shape).
 type TwoECSSQuery struct{}
 
-// QualityQuery asks for the quality of one part's augmented subgraph:
-// per-part dilation measured on demand, congestion from the snapshot's
-// one-time measurement.
+// QualityQuery asks for the quality of one part's augmented subgraph: the
+// part's dilation as the snapshot recorded it at build, repair or load
+// (the same value PartDilation measures), with the assignment's congestion.
 type QualityQuery struct{ Part int }
 
 func (SSSPQuery) queryKind() Kind    { return KindSSSP }
@@ -135,13 +136,13 @@ func (sn *Snapshot) serveMST() *MSTAnswer {
 	return &MSTAnswer{Tree: sn.tree, Weight: sn.treeWeight}
 }
 
-// serveQuality answers a QualityQuery: part dilation on demand plus the
-// congestion cached at build.
+// serveQuality answers a QualityQuery from the per-part dilation cached at
+// build, repair or load, plus the assignment's congestion.
 func (sn *Snapshot) serveQuality(q QualityQuery) (*QualityAnswer, error) {
-	pq, err := sn.s.PartDilation(q.Part, sn.dilationCutoff)
-	if err != nil {
-		return nil, err
+	if q.Part < 0 || q.Part >= len(sn.partDil) {
+		return nil, reproerr.Invalid("serve", "quality query: part %d out of range [0,%d)", q.Part, len(sn.partDil))
 	}
+	pq := sn.partDil[q.Part]
 	pq.Congestion = sn.quality.Congestion
 	return &QualityAnswer{Part: q.Part, Quality: pq}, nil
 }

@@ -1,14 +1,18 @@
 package serve_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mincut"
 	"repro/internal/mst"
+	"repro/internal/reproerr"
 	"repro/internal/serve"
 	"repro/internal/sssp"
 	"repro/internal/twoecss"
@@ -169,9 +173,12 @@ func TestServeSSSPIntoReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestServeBatchMatchesSingle pins ServeBatch against Serve: every batched
+// answer is the single answer, SSSP cost included. A duplicate root and a
+// ServeSSSPBatchInto row get the same distances.
 func TestServeBatchMatchesSingle(t *testing.T) {
 	fx := makeFixture(t, 400, 4)
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Workers: 2})
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{})
 	queries := []serve.Query{
 		serve.SSSPQuery{Source: 7},
 		serve.MSTQuery{},
@@ -197,16 +204,11 @@ func TestServeBatchMatchesSingle(t *testing.T) {
 		switch want := single.(type) {
 		case *serve.SSSPAnswer:
 			got := batch[i].(*serve.SSSPAnswer)
-			if got.Source != want.Source {
-				t.Fatalf("query %d: source %d vs %d", i, got.Source, want.Source)
-			}
-			for v := range want.Dist {
-				if got.Dist[v] != want.Dist[v] {
-					t.Fatalf("query %d: dist[%d] batched %v vs single %v", i, v, got.Dist[v], want.Dist[v])
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d: batched SSSP answer differs from Serve's: cost %+v vs %+v", i, got.Cost, want.Cost)
 			}
 			if got.Rounds <= 0 {
-				t.Fatalf("query %d: batched answer has no shared cost", i)
+				t.Fatalf("query %d: answer has no walk cost", i)
 			}
 		case *serve.MSTAnswer:
 			got := batch[i].(*serve.MSTAnswer)
@@ -236,6 +238,18 @@ func TestServeBatchMatchesSingle(t *testing.T) {
 	if st.Batches != 1 || st.BatchedQueries != int64(len(queries)) {
 		t.Fatalf("batch counters: %+v", st)
 	}
+
+	// Query 4 repeats query 0's root; a ServeSSSPBatchInto row for that
+	// root holds the same distances.
+	rows, err := srv.ServeSSSPBatchInto(nil, []graph.NodeID{7, 0, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, first := batch[4].(*serve.SSSPAnswer).Dist, batch[0].(*serve.SSSPAnswer).Dist
+	if !reflect.DeepEqual(dup, first) || !reflect.DeepEqual(rows[0], first) || !reflect.DeepEqual(rows[2], first) {
+		t.Fatal("duplicate root and ServeSSSPBatchInto rows disagree with the first answer")
+	}
+
 }
 
 func TestServeMinCutDeterministicAndSound(t *testing.T) {
@@ -359,7 +373,7 @@ func TestSnapshotImmutableUnderLoad(t *testing.T) {
 	weightsBefore := append(graph.Weights(nil), fx.w...)
 	qualityBefore := fx.snap.Quality()
 
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 3, Workers: 2})
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 3})
 	queries := []serve.Query{
 		serve.SSSPQuery{Source: 1}, serve.SSSPQuery{Source: 2}, serve.MSTQuery{},
 		serve.MinCutQuery{}, serve.TwoECSSQuery{}, serve.QualityQuery{Part: 0},
@@ -407,5 +421,74 @@ func TestSnapshotBuildErrors(t *testing.T) {
 	}
 	if _, err := serve.NewSnapshot(g, w, [][]graph.NodeID{{0}, {0}}, serve.SnapshotOptions{Rng: rng}); err == nil {
 		t.Fatal("overlapping parts accepted")
+	}
+}
+
+// TestServeQualityFromCache pins QualityQuery to the per-part dilation the
+// snapshot records: on a built, a repaired and a loaded snapshot, every
+// part's answer equals a fresh PartDilation measurement plus the
+// snapshot's congestion, and out-of-range parts get typed errors.
+func TestServeQualityFromCache(t *testing.T) {
+	const cutoff = 40 // small enough that the larger parts take the eccentricity bound
+	rng := rand.New(rand.NewSource(1900))
+	g := diffFamilies()[0].make(300, rng)
+	w := graph.NewUniformWeights(g.NumEdges(), rng)
+	parts, err := gen.VoronoiParts(g, 6, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
+		Rng: rng, Diameter: 6, LogFactor: 0.3, DilationCutoff: cutoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partOf := partOfTable(g.NumNodes(), parts)
+	var repaired *serve.Snapshot
+	for attempt := 0; ; attempt++ {
+		repaired, err = serve.ApplyDelta(context.Background(), built, diffDelta(g, partOf, 24, rng), serve.DeltaOptions{})
+		if err == nil {
+			break
+		}
+		if attempt >= 5 {
+			t.Fatalf("repair failed %d times, last: %v", attempt, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "quality.lcsnap")
+	if err := serve.WriteSnapshotFile(path, repaired); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := serve.LoadSnapshot(path, serve.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+
+	for _, tc := range []struct {
+		name string
+		sn   *serve.Snapshot
+	}{{"built", built}, {"repaired", repaired}, {"loaded", loaded}} {
+		srv := serve.NewServer(tc.sn, serve.ServerOptions{Executors: 1})
+		np := tc.sn.Partition().NumParts()
+		for i := 0; i < np; i++ {
+			want, err := tc.sn.Shortcuts().PartDilation(i, cutoff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Congestion = tc.sn.Quality().Congestion
+			a, err := srv.Serve(serve.QualityQuery{Part: i})
+			if err != nil {
+				t.Fatalf("%s part %d: %v", tc.name, i, err)
+			}
+			if got := a.(*serve.QualityAnswer); got.Part != i || got.Quality != want {
+				t.Fatalf("%s part %d: answer %+v, measured %+v", tc.name, i, got, want)
+			}
+		}
+		for _, bad := range []int{-1, np} {
+			_, err := srv.Serve(serve.QualityQuery{Part: bad})
+			if reproerr.KindOf(err) != reproerr.KindInvalidInput {
+				t.Fatalf("%s part %d: want KindInvalidInput, got %v", tc.name, bad, err)
+			}
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reproerr"
-	"repro/internal/sched"
 	"repro/internal/sssp"
 )
 
@@ -21,24 +20,13 @@ type ServerOptions struct {
 	// queries in flight at once (further callers block on checkout).
 	// 0 selects runtime.GOMAXPROCS(0).
 	Executors int
-	// Workers selects the scheduler parallelism of batched executions
-	// (sched.Options.Workers); 0 = sequential. Answers are identical for
-	// every setting.
-	Workers int
 	// Seed derives the per-query deterministic randomness: a query's answer
 	// depends only on (snapshot, Seed, query), never on which executor runs
 	// it or what runs concurrently. 0 selects 1.
 	Seed int64
-	// DisableBitParallel forces batched SSSP groups onto the scalar
-	// random-delay kernel even when the snapshot tree is eligible for the
-	// bit-parallel fast path (see batch.go). Distances are identical either
-	// way — the knob exists for benchmarking the kernels against each other
-	// and as an escape hatch.
-	DisableBitParallel bool
 	// Metrics attaches an observability registry: per-kind latency and
-	// queue-wait histograms, executor-pool utilization, kernel-routing and
-	// coalescing counters, the sched bridge, and per-execution trace
-	// records. nil (the default) is the uninstrumented server — the hot
+	// queue-wait histograms, executor-pool utilization, kernel and
+	// coalescing counters, and per-execution trace records. nil (the default) is the uninstrumented server — the hot
 	// paths then skip even their clock reads, and both modes keep the
 	// CI-enforced 0 allocs/op warm paths (every instrument write is atomic
 	// arithmetic on preallocated state).
@@ -48,7 +36,7 @@ type ServerOptions struct {
 	// Metrics; if the registry already has a ring, that ring is shared.
 	TraceDepth int
 	// ProfileLabels wraps executor execution in runtime/pprof labels
-	// (query_kind, and kernel on batched SSSP groups) so CPU profiles
+	// (query_kind, and kernel on SSSP walks) so CPU profiles
 	// attribute samples per query kind. Off by default: pprof.Do allocates
 	// a labeled context per call, so enabling it trades the warm paths'
 	// 0 allocs/op for profile attribution. Independent of Metrics.
@@ -83,34 +71,22 @@ type Server struct {
 }
 
 // executor is one pooled context: every buffer a query needs, owned
-// exclusively while checked out (see DESIGN.md ownership rules). The runner
-// and forest amortize scheduler state across the batched executions this
-// executor serves — PR 2's Runner-reuse extended across queries. Executors
+// exclusively while checked out (see DESIGN.md ownership rules). Executors
 // hold no snapshot state: buffers grow to whatever graph the pinned
 // snapshot has, so the pool survives any number of epoch swaps.
 type executor struct {
 	treeScratch sssp.TreeScratch // warm SSSP walk buffers
-	runner      sched.Runner     // batched scheduled executions
-	forest      sched.BFSForest
 
-	// Batch-group scratch (see batch.go): the coalesced task list, the
-	// query-slot→task mapping, the per-root dedup marks (all-zero outside an
-	// active group run), the streaming parent-arc matrix and sequential
-	// visit log handed to the kernels (both task-major capacity,
-	// numTasks·NumNodes), and the chain stack of the distance-resolution
-	// fallback. All grow to the pinned snapshot's graph and are reused —
-	// the warm batch path allocates nothing, across any number of epoch
-	// swaps.
-	batchTasks []sched.BFSTask
+	// Batch-group scratch (see batch.go): the query-slot→root mapping, the
+	// first slot of each distinct root, and the per-root dedup marks
+	// (all-zero outside an active group run), plus ServeBatch's source and
+	// answer-row lists. All are reused — the warm batch path allocates
+	// nothing, across any number of epoch swaps.
 	taskOf     []int32
 	taskSlot   []int32
 	rootMark   []int32
 	batchSrcs  []graph.NodeID
 	batchDists [][]float64
-	taskRows   [][]float64 // task→output row, for the log replay; re-nilled after use
-	parcs      []int32
-	order      []int64
-	pstack     []int32
 }
 
 // lease is one checked-out execution context: the executor plus the
@@ -257,7 +233,7 @@ func (s *Server) queryRng(kind Kind, payload int64) *rand.Rand {
 }
 
 // Serve answers one query. The answer is deterministic: independent of the
-// executor that runs it, of concurrent queries, and of pool/worker settings.
+// executor that runs it, of concurrent queries, and of the pool size.
 func (s *Server) Serve(q Query) (Answer, error) { return s.ServeCtx(nil, q) }
 
 // ServeCtx is Serve with cooperative cancellation: the context gates the

@@ -47,7 +47,7 @@ const Magic = "LCSNAP01"
 // Version is the current format version. Readers reject files whose header
 // version differs: the format carries raw struct images, so there is no
 // cross-version migration — rebuild and re-save instead.
-const Version uint32 = 1
+const Version uint32 = 2
 
 const (
 	headerSize  = 64

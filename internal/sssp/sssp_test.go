@@ -149,34 +149,3 @@ func TestStretch(t *testing.T) {
 		t.Errorf("self stretch = %f, want 1", s)
 	}
 }
-
-// TestTreeIndexBitParallelEligible pins the forest check that gates the
-// serving layer's bit-parallel batch routing: forests (including partial
-// ones) are eligible, anything with a cycle or a duplicate edge is not.
-func TestTreeIndexBitParallelEligible(t *testing.T) {
-	g, err := graph.FromEdges(4, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := graph.Weights{1, 1, 1, 1}
-	cases := []struct {
-		name string
-		tree []graph.EdgeID
-		want bool
-	}{
-		{"spanning tree", []graph.EdgeID{0, 1, 2}, true},
-		{"partial forest", []graph.EdgeID{0, 2}, true},
-		{"empty", nil, true},
-		{"cycle", []graph.EdgeID{0, 1, 2, 3}, false},
-		{"duplicate edge", []graph.EdgeID{0, 0}, false},
-	}
-	for _, tc := range cases {
-		ti, err := NewTreeIndex(g, w, tc.tree)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := ti.BitParallelEligible(); got != tc.want {
-			t.Errorf("%s: BitParallelEligible() = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}

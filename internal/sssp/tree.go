@@ -15,8 +15,6 @@ type TreeIndex struct {
 	off []int32
 	to  []graph.NodeID
 	wt  []float64
-
-	acyclic bool // the indexed edges form a forest (checked once at build)
 }
 
 // NewTreeIndex indexes the given tree edges of g under weights w. Edges are
@@ -49,42 +47,8 @@ func NewTreeIndex(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (*TreeIn
 		ti.to[cursor[v]], ti.wt[cursor[v]] = u, w[e]
 		cursor[v]++
 	}
-	// Acyclicity check (union-find with path halving), reusing the cursor
-	// scratch: a forest admits exactly one path between any visited pair,
-	// which is what lets the serving layer route batched unweighted BFS over
-	// this edge set to the bit-parallel kernel (see BitParallelEligible).
-	uf := cursor
-	for i := range uf {
-		uf[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for uf[x] != x {
-			uf[x] = uf[uf[x]]
-			x = uf[x]
-		}
-		return x
-	}
-	ti.acyclic = true
-	for _, e := range tree {
-		u, v := g.EdgeEndpoints(e)
-		ru, rv := find(int32(u)), find(int32(v))
-		if ru == rv {
-			ti.acyclic = false
-			break
-		}
-		uf[ru] = rv
-	}
 	return ti, nil
 }
-
-// BitParallelEligible reports whether the indexed edge set is a forest.
-// Over a forest every (source, node) pair has a unique admitted path, so a
-// batched unweighted BFS restricted to these edges is congestion-free and
-// delay-independent — the precondition under which sched.ParallelBFSBitInto
-// (level-synchronized, one shared filter word-wide) answers bit-identically
-// to the scalar random-delay kernel. The MST machinery always produces
-// forests; the check guards hand-built indices.
-func (ti *TreeIndex) BitParallelEligible() bool { return ti.acyclic }
 
 // NumNodes returns the node count of the indexed graph.
 func (ti *TreeIndex) NumNodes() int { return len(ti.off) - 1 }
@@ -143,18 +107,16 @@ func (ti *TreeIndex) DistancesInto(dst []float64, src graph.NodeID, sc *TreeScra
 }
 
 // Raw returns the index's internal arrays (tree CSR offsets, arc targets,
-// arc weights) and the acyclicity flag, as shared read-only slices for
-// zero-copy persistence.
-func (ti *TreeIndex) Raw() (off []int32, to []graph.NodeID, wt []float64, acyclic bool) {
-	return ti.off, ti.to, ti.wt, ti.acyclic
+// arc weights) as shared read-only slices for zero-copy persistence.
+func (ti *TreeIndex) Raw() (off []int32, to []graph.NodeID, wt []float64) {
+	return ti.off, ti.to, ti.wt
 }
 
 // RawTreeIndex reassembles a TreeIndex around previously built arrays
-// without copying or re-deriving the acyclicity flag — the persistence load
-// path. The caller is responsible for structural validity (the snapshot
-// loader verifies the CSR shape, ID ranges, and that acyclic matches a
-// union-find recount before trusting the index).
-func RawTreeIndex(off []int32, to []graph.NodeID, wt []float64, acyclic bool) (*TreeIndex, error) {
+// without copying — the persistence load path. The caller is responsible
+// for structural validity (the snapshot loader verifies the CSR shape, ID
+// ranges, and the tree edge set before trusting the index).
+func RawTreeIndex(off []int32, to []graph.NodeID, wt []float64) (*TreeIndex, error) {
 	const op = "sssp.RawTreeIndex"
 	if len(off) < 1 {
 		return nil, reproerr.Invalid(op, "offsets empty (need n+1 entries)")
@@ -165,5 +127,5 @@ func RawTreeIndex(off []int32, to []graph.NodeID, wt []float64, acyclic bool) (*
 	if off[0] != 0 || int(off[len(off)-1]) != len(to) {
 		return nil, reproerr.Invalid(op, "offsets do not bracket %d arcs", len(to))
 	}
-	return &TreeIndex{off: off, to: to, wt: wt, acyclic: acyclic}, nil
+	return &TreeIndex{off: off, to: to, wt: wt}, nil
 }
