@@ -429,6 +429,50 @@ findPair:
 	}
 }
 
+// TestDeltaEndpointRejectsDisconnectingDelta posts a delta that splits a
+// part: the gateway answers 400 with the invalid-input kind, the store keeps
+// its epoch and snapshot generation, and the next mst answer is byte-for-
+// byte the one before.
+func TestDeltaEndpointRejectsDisconnectingDelta(t *testing.T) {
+	fx := makeFixture(t, 250, 4)
+	env := newEnv(t, fx, Options{})
+	d, _, ok := testx.DisconnectingDelta(fx.g, fx.parts)
+	if !ok {
+		t.Fatal("fixture has no part of two or more nodes")
+	}
+	var req DeltaRequest
+	for _, uv := range d.Delete {
+		req.Delete = append(req.Delete, [2]int64{int64(uv[0]), int64(uv[1])})
+	}
+	mst := func() []byte {
+		t.Helper()
+		status, raw := post(t, env.srv.URL+"/v1/query", QueryRequest{Kind: "mst"}, nil)
+		if status != 200 {
+			t.Fatalf("mst query status %d: %s", status, raw)
+		}
+		return raw
+	}
+	before := mst()
+	epoch, generation := env.store.Epoch(), env.store.Snapshot().Generation()
+
+	status, raw := post(t, env.srv.URL+"/v1/delta", req, nil)
+	if status != http.StatusBadRequest {
+		t.Fatalf("delta status %d, want 400: %s", status, raw)
+	}
+	if e := decodeResp[ErrorResponse](t, raw); e.Kind != reproerr.KindInvalidInput.String() {
+		t.Fatalf("error kind %q, want %q", e.Kind, reproerr.KindInvalidInput)
+	}
+	if got := env.store.Epoch(); got != epoch {
+		t.Fatalf("store epoch %d after a rejected delta, want %d", got, epoch)
+	}
+	if got := env.store.Snapshot().Generation(); got != generation {
+		t.Fatalf("snapshot generation %d after a rejected delta, want %d", got, generation)
+	}
+	if after := mst(); !bytes.Equal(after, before) {
+		t.Fatalf("mst answer changed after a rejected delta:\n%s\nvs\n%s", after, before)
+	}
+}
+
 // TestSwapEndpoint ships a persisted snapshot through /v1/snapshot/swap:
 // a fresh-chain file swaps in (Drained true, epoch bumped), replaying the
 // then-stale active state is rejected with 400, and a missing file is a

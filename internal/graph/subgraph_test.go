@@ -108,6 +108,84 @@ func TestEccentricityAmongBracketsDiameter(t *testing.T) {
 	}
 }
 
+// TestCompactDilationMatchesReference pins DiameterAmong and
+// EccentricityAmong, which search a compact copy of the view, to a
+// whole-graph FilteredBFS over the view's arc filter, on random views: H
+// edges with endpoints outside S, disconnected views (-1), interest sets
+// other than S and interest nodes outside the view.
+func TestCompactDilationMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	disconnected := 0
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(40) + 1
+		b := NewBuilder(n)
+		for i := 0; i < n+rng.Intn(2*n+1); i++ {
+			b.TryAddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		g := b.Build()
+		var s []NodeID
+		for _, u := range rng.Perm(n)[:rng.Intn(n)+1] {
+			s = append(s, NodeID(u))
+		}
+		var h []EdgeID
+		for e := 0; e < g.NumEdges(); e++ {
+			if rng.Intn(3) == 0 {
+				h = append(h, EdgeID(e))
+			}
+		}
+		v := NewAugmentedView(g, s, h)
+		interests := [][]NodeID{s, v.Nodes()}
+		var mixed []NodeID // random nodes, in the view or not, repeats allowed
+		for i := rng.Intn(4); i >= 0; i-- {
+			mixed = append(mixed, NodeID(rng.Intn(n)))
+		}
+		interests = append(interests, mixed)
+		for _, interest := range interests {
+			want := refDiameterAmong(v, interest)
+			if want < 0 {
+				disconnected++
+			}
+			if got := v.DiameterAmong(interest); got != want {
+				t.Fatalf("trial %d: DiameterAmong(%v) = %d, reference %d (S=%v H=%v)", trial, interest, got, want, s, h)
+			}
+			src := interest[rng.Intn(len(interest))]
+			if rng.Intn(4) == 0 {
+				src = NodeID(rng.Intn(n))
+			}
+			if got, want := v.EccentricityAmong(src, interest), refEccentricityAmong(v, src, interest); got != want {
+				t.Fatalf("trial %d: EccentricityAmong(%d, %v) = %d, reference %d (S=%v H=%v)", trial, src, interest, got, want, s, h)
+			}
+		}
+	}
+	if disconnected == 0 {
+		t.Fatal("no disconnected view generated")
+	}
+}
+
+func refEccentricityAmong(v *AugmentedView, src NodeID, interest []NodeID) int32 {
+	res := v.BFS(src)
+	var ecc int32
+	for _, t := range interest {
+		if res.Dist[t] == Unreached {
+			return -1
+		}
+		ecc = max(ecc, res.Dist[t])
+	}
+	return ecc
+}
+
+func refDiameterAmong(v *AugmentedView, interest []NodeID) int32 {
+	var diam int32
+	for _, s := range interest {
+		ecc := refEccentricityAmong(v, s, interest)
+		if ecc < 0 {
+			return -1
+		}
+		diam = max(diam, ecc)
+	}
+	return diam
+}
+
 func TestWeightsValidate(t *testing.T) {
 	g := mustBuild(t, 3, pathEdges(3))
 	w := NewUnitWeights(g.NumEdges())

@@ -303,6 +303,34 @@ func BenchmarkApplyDelta(b *testing.B) {
 	})
 }
 
+// BenchmarkNewSnapshot times the whole snapshot construction — partition
+// check, shortcut sampling, exact per-part dilation, the Borůvka phases and
+// the tree index — on ClusterChain D=6, n=8000 with 64 Voronoi parts, the
+// constant-diameter family at a size CI's benchmark smoke runs once per
+// push. It reports time and allocs/op; neither is gated.
+func BenchmarkNewSnapshot(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := gen.ClusterChain(8000, 6, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := graph.NewUniformWeights(g.NumEdges(), rng)
+	parts, err := gen.VoronoiParts(g, 64, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
+			Rng: rand.New(rand.NewSource(int64(i + 1))), Diameter: 6, LogFactor: 0.3,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServeSSSPWarmIntoSwap is the warm allocation-free path on a
 // store-backed server measured after an epoch hot-swap: checkout now also
 // pins the epoch (two atomics), and the executor pool carries over from the

@@ -2,10 +2,15 @@ package serve_test
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/reproerr"
 	"repro/internal/serve"
+	"repro/internal/testx"
 )
 
 // TestApplyDeltaRejectsBadInput pins that malformed deltas — including
@@ -33,5 +38,39 @@ func TestApplyDeltaRejectsBadInput(t *testing.T) {
 	}
 	if _, err := serve.ApplyDelta(context.Background(), nil, graph.Delta{Insert: []graph.DeltaEdge{{U: 0, V: 1}}}, serve.DeltaOptions{}); err == nil {
 		t.Error("nil snapshot: no error")
+	}
+}
+
+// TestApplyDeltaRejectsDisconnectingDelta deletes the links that join one
+// node to the rest of its part: the repair must fail with KindInvalidInput
+// from the part's connectivity recheck, and the old snapshot must keep
+// serving the same answers.
+func TestApplyDeltaRejectsDisconnectingDelta(t *testing.T) {
+	fx := makeFixture(t, 200, 9)
+	d, part, ok := testx.DisconnectingDelta(fx.g, fx.parts)
+	if !ok {
+		t.Fatal("fixture has no part of two or more nodes")
+	}
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Seed: 7})
+	before, err := srv.Serve(serve.MSTQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = serve.ApplyDelta(context.Background(), fx.snap, d, serve.DeltaOptions{})
+	if k := reproerr.KindOf(err); k != reproerr.KindInvalidInput {
+		t.Fatalf("ApplyDelta(%v): error %v (kind %v), want KindInvalidInput", d, err, k)
+	}
+	if want := fmt.Sprintf("part %d disconnected by delta", part); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	if fx.snap.Generation() != 0 {
+		t.Fatalf("old snapshot generation %d, want 0", fx.snap.Generation())
+	}
+	after, err := srv.Serve(serve.MSTQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("mst answer changed after a rejected delta: %+v vs %+v", before, after)
 	}
 }

@@ -46,7 +46,8 @@ type Partition struct {
 
 // NewPartition validates that the given node lists are non-empty, vertex-
 // disjoint, in range, and each connected in the induced subgraph, and
-// returns the Partition with max-ID leaders.
+// returns the Partition with max-ID leaders. The whole check is O(n+m):
+// each part's connectivity BFS visits only its own nodes and their arcs.
 func NewPartition(g *graph.Graph, parts [][]graph.NodeID) (*Partition, error) {
 	p := &Partition{
 		g:      g,
@@ -56,6 +57,7 @@ func NewPartition(g *graph.Graph, parts [][]graph.NodeID) (*Partition, error) {
 	for i := range p.partOf {
 		p.partOf[i] = -1
 	}
+	cc := partConnChecker{g: g, partOf: p.partOf}
 	for i, nodes := range parts {
 		if len(nodes) == 0 {
 			return nil, reproerr.Invalid("shortcut.NewPartition", "part %d is empty", i)
@@ -73,7 +75,9 @@ func NewPartition(g *graph.Graph, parts [][]graph.NodeID) (*Partition, error) {
 				leader = v
 			}
 		}
-		if !graph.IsNodeSetConnected(g, nodes) {
+		// Parts before i are complete and later ones unassigned, so every
+		// node with partOf == i is a node of this part.
+		if !cc.connected(int32(i), nodes) {
 			return nil, reproerr.Invalid("shortcut.NewPartition", "part %d is not connected", i)
 		}
 		copied := make([]graph.NodeID, len(nodes))
@@ -97,15 +101,48 @@ func (p *Partition) Rebind(g2 *graph.Graph, recheck []int) (*Partition, error) {
 	if g2.NumNodes() != p.g.NumNodes() {
 		return nil, reproerr.Invalid(op, "node count changed: %d -> %d", p.g.NumNodes(), g2.NumNodes())
 	}
+	cc := partConnChecker{g: g2, partOf: p.partOf}
 	for _, i := range recheck {
 		if i < 0 || i >= len(p.parts) {
 			return nil, reproerr.Invalid(op, "part %d out of range [0,%d)", i, len(p.parts))
 		}
-		if !graph.IsNodeSetConnected(g2, p.parts[i].Nodes) {
+		if !cc.connected(int32(i), p.parts[i].Nodes) {
 			return nil, reproerr.Invalid(op, "part %d disconnected by delta", i)
 		}
 	}
 	return &Partition{g: g2, parts: p.parts, partOf: p.partOf}, nil
+}
+
+// partConnChecker is the partition connectivity check of one NewPartition
+// or Rebind call, with BFS scratch shared across the parts it checks.
+type partConnChecker struct {
+	g      *graph.Graph
+	partOf []int32
+	seen   *graph.Bitset // allocated by the first check; clear between checks
+	queue  []graph.NodeID
+}
+
+// connected reports whether nodes, the distinct nodes v with partOf[v] == i,
+// induce a connected subgraph of g. The BFS follows only arcs into part i,
+// so it costs O(|nodes| + arcs of nodes).
+func (c *partConnChecker) connected(i int32, nodes []graph.NodeID) bool {
+	if c.seen == nil {
+		c.seen = graph.NewBitset(len(c.partOf))
+	}
+	c.queue = append(c.queue[:0], nodes[0])
+	c.seen.Set(nodes[0])
+	for head := 0; head < len(c.queue); head++ {
+		for _, w := range c.g.Neighbors(c.queue[head]) {
+			if c.partOf[w] == i && !c.seen.Has(w) {
+				c.seen.Set(w)
+				c.queue = append(c.queue, w)
+			}
+		}
+	}
+	for _, v := range c.queue {
+		c.seen.Clear(v)
+	}
+	return len(c.queue) == len(nodes)
 }
 
 // NumParts returns the number of parts ℓ.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/reproerr"
 )
 
 func mustPartition(t *testing.T, g *graph.Graph, parts [][]graph.NodeID) *Partition {
@@ -18,18 +19,34 @@ func mustPartition(t *testing.T, g *graph.Graph, parts [][]graph.NodeID) *Partit
 }
 
 func TestNewPartitionValidation(t *testing.T) {
-	g := gen.Path(6)
-	if _, err := NewPartition(g, [][]graph.NodeID{{}}); err == nil {
-		t.Error("empty part accepted")
-	}
-	if _, err := NewPartition(g, [][]graph.NodeID{{0, 1}, {1, 2}}); err == nil {
-		t.Error("overlapping parts accepted")
-	}
-	if _, err := NewPartition(g, [][]graph.NodeID{{0, 2}}); err == nil {
-		t.Error("disconnected part accepted")
-	}
-	if _, err := NewPartition(g, [][]graph.NodeID{{0, 99}}); err == nil {
-		t.Error("out-of-range node accepted")
+	g := gen.Path(6) // 0-1-2-3-4-5
+	for _, c := range []struct {
+		name  string
+		parts [][]graph.NodeID
+		msg   string
+	}{
+		{"empty", [][]graph.NodeID{{0, 1}, {}}, "part 1 is empty"},
+		{"out of range", [][]graph.NodeID{{0, 99}}, "part 0: node 99 out of range"},
+		{"negative", [][]graph.NodeID{{-1}}, "part 0: node -1 out of range"},
+		{"overlap", [][]graph.NodeID{{0, 1}, {1, 2}}, "node 1 in parts 0 and 1"},
+		{"repeated node", [][]graph.NodeID{{2, 3, 2}}, "node 2 in parts 0 and 0"},
+		{"disconnected", [][]graph.NodeID{{0, 1}, {3, 5}}, "part 1 is not connected"},
+		{"only through another part", [][]graph.NodeID{{0, 2}, {1}}, "part 0 is not connected"},
+		{"only through another later part", [][]graph.NodeID{{1}, {0, 2}}, "part 1 is not connected"},
+		{"only through a node outside every part", [][]graph.NodeID{{3, 4}, {0, 2}}, "part 1 is not connected"},
+		{"first error wins", [][]graph.NodeID{{0, 2}, {2}}, "part 0 is not connected"},
+	} {
+		_, err := NewPartition(g, c.parts)
+		if err == nil {
+			t.Errorf("%s: %v accepted", c.name, c.parts)
+			continue
+		}
+		if k := reproerr.KindOf(err); k != reproerr.KindInvalidInput {
+			t.Errorf("%s: kind %v, want KindInvalidInput", c.name, k)
+		}
+		if want := "shortcut.NewPartition: " + c.msg; err.Error() != want {
+			t.Errorf("%s: error %q, want %q", c.name, err, want)
+		}
 	}
 	p := mustPartition(t, g, [][]graph.NodeID{{0, 1, 2}, {4, 5}})
 	if p.NumParts() != 2 {
