@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/serve"
@@ -244,7 +245,7 @@ func fireQueries(ctx context.Context, srv *serve.Server, n, q, executors, batch 
 // the dist length (to discover the remote n) and the simulated rounds.
 type wireAnswer struct {
 	SSSP struct {
-		Dist []*float64 `json:"dist"`
+		Dist gateway.DistVector `json:"dist"`
 	} `json:"sssp"`
 	Rounds int `json:"rounds"`
 }

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 
 	"repro/internal/cost"
@@ -125,6 +127,45 @@ type RunInfo struct {
 	// histogram summaries with p50/p99/p999, retained query traces) when
 	// the run was instrumented (lcsbench -metrics-out); nil otherwise.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+
+	// The host and build fingerprint, so a recorded number names the
+	// machine and binary it came from. WriteJSON and AppendJSON fill these
+	// from the running process when GoVersion is empty; entries recorded
+	// before the fingerprint existed keep their absent fields absent.
+	NumCPU     int    `json:"num_cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	// VCSRevision and VCSModified are the binary's vcs.revision and
+	// vcs.modified build settings, "unknown" when the build recorded none
+	// (go run, go test).
+	VCSRevision string `json:"vcs_revision,omitempty"`
+	VCSModified string `json:"vcs_modified,omitempty"`
+}
+
+// withHost returns r with the host and build fingerprint of the running
+// process, unless r already carries one.
+func (r RunInfo) withHost() RunInfo {
+	if r.GoVersion != "" {
+		return r
+	}
+	r.NumCPU = runtime.NumCPU()
+	r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	r.GoVersion = runtime.Version()
+	r.GOOS, r.GOARCH = runtime.GOOS, runtime.GOARCH
+	r.VCSRevision, r.VCSModified = "unknown", "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				r.VCSRevision = s.Value
+			case "vcs.modified":
+				r.VCSModified = s.Value
+			}
+		}
+	}
+	return r
 }
 
 // jsonTable is a Table's JSON form: {title, columns, rows, notes, meta}.
@@ -153,7 +194,7 @@ func WriteJSON(w io.Writer, run RunInfo, tables []*Table) error {
 	out := struct {
 		Run    RunInfo     `json:"run"`
 		Tables []jsonTable `json:"tables"`
-	}{Run: run, Tables: toJSONTables(tables)}
+	}{Run: run.withHost(), Tables: toJSONTables(tables)}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)

@@ -31,8 +31,10 @@ type trajectoryFile struct {
 // the last. A missing or empty file starts a fresh trajectory; a legacy
 // single-run {run, tables} file (the old overwrite format) is upgraded in
 // place — its content becomes entry 0 (tag "legacy", no timestamp) and the
-// new run entry 1. Anything else is refused rather than clobbered. The
-// write is atomic: a temp file in the same directory, then rename.
+// new run entry 1. Anything else is refused rather than clobbered. The new
+// entry records the host and build fingerprint (RunInfo.NumCPU through
+// VCSModified). The write is atomic: a temp file in the same directory,
+// then rename.
 func AppendJSON(path, tag string, run RunInfo, tables []*Table) error {
 	var tf trajectoryFile
 	raw, err := os.ReadFile(path)
@@ -55,7 +57,7 @@ func AppendJSON(path, tag string, run RunInfo, tables []*Table) error {
 		Seq:        len(tf.Trajectory),
 		RecordedAt: time.Now().UTC().Format(time.RFC3339),
 		Tag:        tag,
-		Run:        run,
+		Run:        run.withHost(),
 		Tables:     toJSONTables(tables),
 	})
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -102,5 +103,37 @@ func TestAppendJSONRefusesGarbage(t *testing.T) {
 	}
 	if string(raw) != "not json at all" {
 		t.Fatalf("refused append still modified the file: %q", raw)
+	}
+}
+
+// TestAppendJSONHostFingerprint pins the host and build fields of a
+// trajectory entry: a caller-supplied fingerprint round-trips unchanged,
+// and an entry without one records the running process's.
+func TestAppendJSONHostFingerprint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_host.json")
+	given := RunInfo{
+		Seed: 3, NumCPU: 64, GOMAXPROCS: 8, GoVersion: "go1.99", GOOS: "plan9", GOARCH: "riscv64",
+		VCSRevision: "0123456789abcdef", VCSModified: "true",
+	}
+	if err := AppendJSON(path, "given", given, []*Table{sampleTable("A")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendJSON(path, "stamped", RunInfo{Seed: 4}, []*Table{sampleTable("B")}); err != nil {
+		t.Fatal(err)
+	}
+	tf := readTrajectory(t, path)
+	if len(tf.Trajectory) != 2 {
+		t.Fatalf("got %d entries, want 2", len(tf.Trajectory))
+	}
+	if got := tf.Trajectory[0].Run; got != given {
+		t.Fatalf("fingerprint did not round-trip:\n got %+v\nwant %+v", got, given)
+	}
+	got := tf.Trajectory[1].Run
+	if got.NumCPU != runtime.NumCPU() || got.GOMAXPROCS != runtime.GOMAXPROCS(0) ||
+		got.GoVersion != runtime.Version() || got.GOOS != runtime.GOOS || got.GOARCH != runtime.GOARCH {
+		t.Fatalf("stamped entry does not name this process's host: %+v", got)
+	}
+	if got.VCSRevision == "" || got.VCSModified == "" {
+		t.Fatalf("stamped entry has an empty build fingerprint: %+v", got)
 	}
 }

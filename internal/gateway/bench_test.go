@@ -46,10 +46,10 @@ func BenchmarkGatewaySSSPWarmCore(b *testing.B) {
 	}
 }
 
-// BenchmarkGatewayQueryHTTP measures the full wire path — mux, JSON
-// decode, serve, JSON encode — for the wire-overhead comparison against
-// the core above. Allocates by design (the codec); not part of the
-// zero-alloc gate.
+// BenchmarkGatewayQueryHTTP measures the full wire path — mux, request
+// decode, serve, the direct sssp response writer — for the wire-overhead
+// comparison against the core above. Allocates (request decode, recorder,
+// the answer row); reported in CI's bench smoke, not gated.
 func BenchmarkGatewayQueryHTTP(b *testing.B) {
 	fx := makeFixture(b, 2_000, 31)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})

@@ -17,8 +17,9 @@
 //     (/metrics, /healthz, /readyz).
 //
 // Everything below the HTTP layer — admission, executor checkout, the warm
-// sssp path — stays allocation-free; the JSON codec is the only allocating
-// stage, and it is the wire format's price, not the gateway's.
+// sssp path — stays allocation-free. Single sssp answers are written by a
+// direct one-pass encoder into a pooled buffer; the other kinds go through
+// encoding/json.
 package gateway
 
 import (
@@ -280,6 +281,10 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, epQuery, err)
 		return
 	}
+	if sa, ok := ans.(*serve.SSSPAnswer); ok {
+		g.writeSSSP(w, sa)
+		return
+	}
 	g.writeJSON(w, http.StatusOK, answerToResponse(ans))
 }
 
@@ -496,6 +501,31 @@ func (g *Gateway) writeError(w http.ResponseWriter, ep int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(reproerr.HTTPStatus(kind))
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), Kind: kind.String()})
+}
+
+// respBufs recycles writeSSSP's body buffers: a distance row is ~19 bytes
+// per node, so a fresh buffer per answer would be the handler's largest
+// allocation.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeSSSP renders one sssp answer with appendSSSPResponse into a pooled
+// buffer and sends it with an exact Content-Length in one Write. Encoding
+// finishes before the header goes out, so an unencodable row becomes a
+// typed error response rather than a truncated 200.
+func (g *Gateway) writeSSSP(w http.ResponseWriter, a *serve.SSSPAnswer) {
+	bp := respBufs.Get().(*[]byte)
+	defer respBufs.Put(bp)
+	buf, err := appendSSSPResponse((*bp)[:0], a)
+	*bp = buf
+	if err != nil {
+		g.writeError(w, epQuery, err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf)
 }
 
 // writeJSON renders one success body.

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -77,15 +78,23 @@ func (q *QueryRequest) toQuery() (serve.Query, error) {
 // DistVector is a distance row on the wire. JSON cannot represent +Inf, so
 // unreachable nodes (sssp.Infinite) marshal as null and unmarshal back to
 // +Inf; finite values use Go's shortest round-trip formatting, so a decoded
-// vector is bit-identical to the served one.
+// vector is bit-identical to the served one. appendDist is the one
+// formatter (MarshalJSON for batch answers, appendSSSPResponse for single
+// ones) and UnmarshalJSON the one parser.
 type DistVector []float64
 
 // MarshalJSON renders the vector as a JSON array with null for +Inf.
 func (d DistVector) MarshalJSON() ([]byte, error) {
+	return appendDist(make([]byte, 0, 20*len(d)+2), d)
+}
+
+// appendDist appends d's wire form to buf: a JSON array with null for +Inf
+// and strconv's shortest round-trip formatting for finite values, or null
+// for a nil row. NaN and -Inf have no wire form and are an error.
+func appendDist(buf []byte, d DistVector) ([]byte, error) {
 	if d == nil {
-		return []byte("null"), nil
+		return append(buf, "null"...), nil
 	}
-	buf := make([]byte, 0, 8*len(d)+2)
 	buf = append(buf, '[')
 	for i, v := range d {
 		if i > 0 {
@@ -96,29 +105,134 @@ func (d DistVector) MarshalJSON() ([]byte, error) {
 			continue
 		}
 		if math.IsNaN(v) || math.IsInf(v, -1) {
-			return nil, reproerr.Invalid("gateway.dist", "unencodable distance %v at index %d", v, i)
+			return buf, reproerr.Invalid("gateway.dist", "unencodable distance %v at index %d", v, i)
 		}
 		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
 	}
 	return append(buf, ']'), nil
 }
 
-// UnmarshalJSON parses the array form, mapping null back to +Inf.
+// UnmarshalJSON parses the array form, mapping null back to +Inf. It walks
+// the bytes once, checking each element against the JSON number grammar
+// before strconv.ParseFloat, and accepts exactly what encoding/json accepts
+// for []*float64: surrounding JSON whitespace, a bare null (an empty row),
+// numbers and nulls. Everything else — strings, nested values, trailing
+// commas, NaN/Inf literals, numbers out of float64 range — is an error, and
+// on error *d is left untouched. The row is allocated once, sized by its
+// comma count.
 func (d *DistVector) UnmarshalJSON(b []byte) error {
-	var raw []*float64
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	out := make(DistVector, len(raw))
-	for i, p := range raw {
-		if p == nil {
-			out[i] = math.Inf(1)
-		} else {
-			out[i] = *p
+	i := skipSpace(b, 0)
+	if hasNull(b, i) {
+		if i = skipSpace(b, i+4); i != len(b) {
+			return distSyntax(b, i, "after top-level null")
 		}
+		*d = DistVector{}
+		return nil
+	}
+	if i >= len(b) || b[i] != '[' {
+		return distSyntax(b, i, "looking for the beginning of the row")
+	}
+	out := make(DistVector, 0, bytes.Count(b[i:], []byte{','})+1)
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		i++
+	} else {
+		for {
+			if hasNull(b, i) {
+				out = append(out, math.Inf(1))
+				i += 4
+			} else {
+				j := scanNumber(b, i)
+				if j < 0 {
+					return distSyntax(b, i, "looking for a number or null")
+				}
+				v, err := strconv.ParseFloat(string(b[i:j]), 64)
+				if err != nil {
+					return reproerr.Invalid("gateway.dist", "distance %s at index %d is out of float64 range", b[i:j], len(out))
+				}
+				out = append(out, v)
+				i = j
+			}
+			i = skipSpace(b, i)
+			if i < len(b) && b[i] == ']' {
+				i++
+				break
+			}
+			if i >= len(b) || b[i] != ',' {
+				return distSyntax(b, i, "after a row element")
+			}
+			i = skipSpace(b, i+1)
+		}
+	}
+	if i = skipSpace(b, i); i != len(b) {
+		return distSyntax(b, i, "after the row")
 	}
 	*d = out
 	return nil
+}
+
+// distSyntax reports a malformed row at offset i.
+func distSyntax(b []byte, i int, where string) error {
+	if i >= len(b) {
+		return reproerr.Invalid("gateway.dist", "unexpected end of row %s", where)
+	}
+	return reproerr.Invalid("gateway.dist", "invalid character %q at offset %d %s", b[i], i, where)
+}
+
+// skipSpace returns the first offset at or after i that is not JSON
+// whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// hasNull reports whether the literal null starts at offset i.
+func hasNull(b []byte, i int) bool {
+	return len(b)-i >= 4 && b[i] == 'n' && b[i+1] == 'u' && b[i+2] == 'l' && b[i+3] == 'l'
+}
+
+// scanNumber returns the end of the JSON number starting at offset i, or -1
+// when the bytes there do not match -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+func scanNumber(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if j := skipDigits(b, i+1); j > i+1 {
+			i = j
+		} else {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if j := skipDigits(b, i); j > i {
+			i = j
+		} else {
+			return -1
+		}
+	}
+	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // SSSPResult is the wire form of a serve.SSSPAnswer.
@@ -200,6 +314,30 @@ func answerToResponse(a serve.Answer) *QueryResponse {
 		}}
 	}
 	return nil
+}
+
+// appendSSSPResponse appends the wire form of one sssp answer to buf: the
+// bytes json.NewEncoder(w).Encode(answerToResponse(a)) writes, trailing
+// newline included, in one pass with no reflection and no re-scan of the
+// row. Zero rounds/messages are omitted, as omitempty does.
+func appendSSSPResponse(buf []byte, a *serve.SSSPAnswer) ([]byte, error) {
+	buf = append(buf, `{"kind":"sssp","sssp":{"source":`...)
+	buf = strconv.AppendInt(buf, int64(a.Source), 10)
+	buf = append(buf, `,"dist":`...)
+	buf, err := appendDist(buf, a.Dist)
+	if err != nil {
+		return buf, err
+	}
+	buf = append(buf, '}')
+	if a.Rounds != 0 {
+		buf = append(buf, `,"rounds":`...)
+		buf = strconv.AppendInt(buf, int64(a.Rounds), 10)
+	}
+	if a.Messages != 0 {
+		buf = append(buf, `,"messages":`...)
+		buf = strconv.AppendInt(buf, a.Messages, 10)
+	}
+	return append(buf, "}\n"...), nil
 }
 
 // BatchRequest is the JSON body of POST /v1/batch.

@@ -108,7 +108,7 @@ func (b *WireBackend) Do(ctx context.Context, q serve.Query) (Completion, error)
 		}
 		return Completion{}, fmt.Errorf("%s: %w", op, err)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	resp.Body.Close()
 	if err != nil {
 		return Completion{}, fmt.Errorf("%s: %w", op, err)
@@ -127,6 +127,24 @@ func (b *WireBackend) Do(ctx context.Context, q serve.Query) (Completion, error)
 		return Completion{TreeEdges: ans.MST.Edges}, nil
 	}
 	return Completion{}, nil
+}
+
+// maxPresize caps how much readBody allocates up front on the server's
+// word: a larger declared Content-Length still reads, growing as it goes.
+const maxPresize = 64 << 20
+
+// readBody reads resp's body into one buffer sized from its Content-Length
+// (plus bytes.MinRead, so the final EOF read does not grow it), instead of
+// io.ReadAll's doubling from 512 bytes. A body of unknown length reads as
+// io.ReadAll does.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, maxPresize)+bytes.MinRead))
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // queryToRequest is toQuery's inverse: the typed serve query onto its wire
