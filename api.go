@@ -103,7 +103,7 @@ type DistShortcutResult = shortcut.DistResult
 // bit-identical.
 func BuildShortcutsDistributed(g *Graph, p *Partition, opts DistShortcutOptions) (*DistShortcutResult, error) {
 	return BuildShortcutsDistributedCtx(opts.Ctx, g, p, WithRng(opts.Rng), func(c *Config) {
-		c.SamplingBoost, c.Reps, c.Workers = opts.LogFactor, opts.Reps, opts.Workers
+		c.SamplingBoost, c.Reps = opts.LogFactor, opts.Reps
 		c.DepthFactor, c.KnownDiameter = opts.DepthFactor, opts.KnownDiameter
 		c.MaxRounds, c.CongestionCap = opts.MaxRounds, opts.CongestionCapFactor
 	})
@@ -191,7 +191,7 @@ type MSTDistResult = mst.DistResult
 // maps the v1 struct onto v2 field-for-field, so results are bit-identical.
 func MSTDistributed(g *Graph, w Weights, opts MSTDistOptions) (*MSTDistResult, error) {
 	return MSTDistributedCtx(opts.Ctx, g, w, WithRng(opts.Rng), func(c *Config) {
-		c.Diameter, c.SamplingBoost, c.Workers = opts.Diameter, opts.LogFactor, opts.Workers
+		c.Diameter, c.SamplingBoost = opts.Diameter, opts.LogFactor
 		c.Baseline, c.SimulateConstruction = opts.Baseline, opts.SimulateConstruction
 		c.DepthFactor, c.MaxRounds = opts.DepthFactor, opts.MaxRounds
 	})
@@ -214,7 +214,7 @@ type MinCutApproxResult = mincut.ApproxResult
 func MinCutApprox(g *Graph, w Weights, opts MinCutApproxOptions) (*MinCutApproxResult, error) {
 	return MinCutApproxCtx(opts.Ctx, g, w, WithRng(opts.Rng), func(c *Config) {
 		c.Trees, c.Diameter, c.SamplingBoost = opts.Trees, opts.Diameter, opts.LogFactor
-		c.DistributedAccounting, c.Workers, c.Tree = opts.Distributed, opts.Workers, opts.FirstTree
+		c.DistributedAccounting, c.Tree = opts.Distributed, opts.FirstTree
 	})
 }
 
@@ -233,7 +233,7 @@ type SSSPTreeResult = sssp.TreeResult
 // Deprecated: use SSSPApproxCtx with functional options.
 func SSSPApprox(g *Graph, w Weights, src NodeID, opts SSSPTreeOptions) (*SSSPTreeResult, error) {
 	return SSSPApproxCtx(opts.Ctx, g, w, src, WithRng(opts.Rng), func(c *Config) {
-		c.Diameter, c.SamplingBoost, c.Workers = opts.Diameter, opts.LogFactor, opts.Workers
+		c.Diameter, c.SamplingBoost = opts.Diameter, opts.LogFactor
 		c.MaxRounds = opts.MaxRounds
 	})
 }
@@ -251,7 +251,7 @@ type TwoECSSResult = twoecss.Result
 // prebuilt spanning tree and lifts the randomness requirement).
 func TwoECSS(g *Graph, w Weights, opts TwoECSSOptions) (*TwoECSSResult, error) {
 	return TwoECSSCtx(opts.Ctx, g, w, WithRng(opts.Rng), func(c *Config) {
-		c.Diameter, c.SamplingBoost, c.Workers = opts.Diameter, opts.LogFactor, opts.Workers
+		c.Diameter, c.SamplingBoost = opts.Diameter, opts.LogFactor
 		c.DistributedAccounting, c.Tree = opts.Distributed, opts.Tree
 	})
 }
@@ -277,7 +277,7 @@ type SnapshotOptions = serve.SnapshotOptions
 // large graph runs for seconds and only the v2 path can be canceled.
 func NewSnapshot(g *Graph, w Weights, parts [][]NodeID, opts SnapshotOptions) (*Snapshot, error) {
 	return NewSnapshotCtx(opts.Ctx, g, w, parts, WithRng(opts.Rng), func(c *Config) {
-		c.Diameter, c.SamplingBoost, c.Workers = opts.Diameter, opts.LogFactor, opts.Workers
+		c.Diameter, c.SamplingBoost = opts.Diameter, opts.LogFactor
 		c.DilationCutoff, c.MaxRounds = opts.DilationCutoff, opts.MaxRounds
 	})
 }
@@ -287,14 +287,14 @@ func NewSnapshot(g *Graph, w Weights, parts [][]NodeID, opts SnapshotOptions) (*
 // is deterministic and identical to its single-threaded counterpart.
 type Server = serve.Server
 
-// ServerOptions configures NewServer (pool size, batch-scheduler workers,
-// query-determinism seed).
+// ServerOptions configures NewServer (pool size, query-determinism seed,
+// observability).
 type ServerOptions = serve.ServerOptions
 
 // NewServer builds a server over snap.
 //
 // Deprecated: use NewServerV2 with functional options (WithExecutors,
-// WithWorkers, WithServerSeed) and the server's context-first query methods.
+// WithServerSeed) and the server's context-first query methods.
 func NewServer(snap *Snapshot, opts ServerOptions) *Server {
 	// NewServerV2 maps its Config onto exactly this constructor; calling it
 	// directly keeps the v1 signature error-free by construction.
@@ -338,10 +338,8 @@ type CongestStats = congest.Stats
 // (Theorem 2.1): realized rounds, messages, per-edge congestion, and peak
 // queueing. It is reported by the distributed shortcut construction
 // (DistShortcutResult.SchedStats) and tracked by lcsbench's -json output.
-// Every Workers setting threaded through DistShortcutOptions,
-// MSTDistOptions, SSSPTreeOptions, TwoECSSOptions, and MinCutApproxOptions
-// now drives the scheduler's sharded drain as well as the CONGEST engine,
-// with bit-for-bit identical results.
+// The scheduler shards its drain across one worker per CPU the Go
+// scheduler runs on, with bit-for-bit identical results on every host.
 type SchedStats = sched.Stats
 
 // The CONGEST node-programming vocabulary, re-exported so external modules
@@ -362,16 +360,16 @@ type (
 	CongestFactory = congest.Factory
 )
 
-// CongestOptions configures the unified CONGEST engine: Workers selects the
-// execution mode (0/1 = deterministic sequential, k > 1 = sharded pool of k
-// workers, negative = one worker per CPU) and MaxRounds bounds a run. All
-// modes produce bit-for-bit identical outputs and stats on error-free runs.
+// CongestOptions configures the unified CONGEST engine: MaxRounds bounds a
+// run and Ctx cancels it. The engine runs sequentially on a one-CPU host
+// and as a sharded pool of one worker per CPU otherwise; both produce
+// bit-for-bit identical outputs and stats on error-free runs.
 type CongestOptions = congest.Options
 
 // CongestEngine executes CONGEST Programs; build one with NewCongestEngine.
 type CongestEngine = congest.Engine
 
-// NewCongestEngine returns the engine selected by opts.
+// NewCongestEngine returns the engine for this host, configured by opts.
 func NewCongestEngine(opts CongestOptions) CongestEngine { return congest.NewEngine(opts) }
 
 // RunCongest executes one Program per node of g on the unified CONGEST
@@ -380,13 +378,3 @@ func NewCongestEngine(opts CongestOptions) CongestEngine { return congest.NewEng
 func RunCongest(g *Graph, factory CongestFactory, opts CongestOptions) (CongestStats, []CongestProgram, error) {
 	return congest.Run(g, factory, opts)
 }
-
-// RunSequential and RunGoroutines are the seed's two engine entry points.
-//
-// Deprecated: both now delegate to the unified flat-buffer engine; use
-// RunCongest (Workers 0 replaces RunSequential, Workers -1 replaces
-// RunGoroutines).
-var (
-	RunSequential = congest.RunSequential
-	RunGoroutines = congest.RunGoroutines
-)

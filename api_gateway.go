@@ -40,8 +40,8 @@ type GatewayOptions = gateway.Options
 
 // NewGateway wraps srv in the HTTP front end, from functional options:
 // WithQueueDepth (admission capacity), WithBatchWindow / WithMaxBatch
-// (sssp coalescing), WithRequestTimeout (default deadline), WithWorkers /
-// WithMaxRounds (delta repair parallelism and bounds), and WithMetrics.
+// (sssp coalescing), WithRequestTimeout (default deadline), WithMaxRounds
+// (delta repair bounds), and WithMetrics.
 func NewGateway(srv *Server, opts ...Option) (*Gateway, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -52,7 +52,6 @@ func NewGateway(srv *Server, opts ...Option) (*Gateway, error) {
 		BatchWindow:    cfg.BatchWindow,
 		MaxBatch:       cfg.MaxBatch,
 		DefaultTimeout: cfg.RequestTimeout,
-		DeltaWorkers:   cfg.Workers,
 		DeltaMaxRounds: cfg.MaxRounds,
 		Metrics:        cfg.Metrics,
 	})

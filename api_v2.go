@@ -60,7 +60,6 @@ func BuildShortcutsDistributedCtx(ctx context.Context, g *Graph, p *Partition, o
 		Rng:                 cfg.rng(),
 		LogFactor:           cfg.SamplingBoost,
 		Reps:                cfg.Reps,
-		Workers:             cfg.Workers,
 		DepthFactor:         cfg.DepthFactor,
 		KnownDiameter:       cfg.KnownDiameter,
 		MaxRounds:           cfg.MaxRounds,
@@ -123,7 +122,6 @@ func (c *Config) mstOptions(ctx context.Context) mst.DistOptions {
 		LogFactor:            c.SamplingBoost,
 		Baseline:             c.Baseline,
 		SimulateConstruction: c.SimulateConstruction,
-		Workers:              c.Workers,
 		DepthFactor:          c.DepthFactor,
 		MaxRounds:            c.MaxRounds,
 		Ctx:                  ctx,
@@ -142,7 +140,6 @@ func SSSPApproxCtx(ctx context.Context, g *Graph, w Weights, src NodeID, opts ..
 		Rng:       cfg.rng(),
 		Diameter:  cfg.Diameter,
 		LogFactor: cfg.SamplingBoost,
-		Workers:   cfg.Workers,
 		MaxRounds: cfg.MaxRounds,
 		Ctx:       ctx,
 	})
@@ -163,7 +160,6 @@ func MinCutApproxCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (
 		Diameter:    cfg.Diameter,
 		LogFactor:   cfg.SamplingBoost,
 		Distributed: cfg.DistributedAccounting,
-		Workers:     cfg.Workers,
 		FirstTree:   cfg.Tree,
 		Ctx:         ctx,
 	})
@@ -183,7 +179,6 @@ func TwoECSSCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (*TwoE
 		Diameter:    cfg.Diameter,
 		LogFactor:   cfg.SamplingBoost,
 		Distributed: cfg.DistributedAccounting,
-		Workers:     cfg.Workers,
 		Tree:        cfg.Tree,
 		Ctx:         ctx,
 	})
@@ -204,7 +199,6 @@ func NewSnapshotCtx(ctx context.Context, g *Graph, w Weights, parts [][]NodeID, 
 		Rng:            cfg.rng(),
 		Diameter:       cfg.Diameter,
 		LogFactor:      cfg.SamplingBoost,
-		Workers:        cfg.Workers,
 		DilationCutoff: cfg.DilationCutoff,
 		MaxRounds:      cfg.MaxRounds,
 		Ctx:            ctx,
@@ -300,7 +294,7 @@ func NewStoreV2(snap *Snapshot, opts ...Option) (*Store, error) {
 // seed and WithDiameter(snap.Diameter()) — the repair pins the base build's
 // diameter, so a rebuild that lets the diameter re-estimate from the
 // mutated graph may derive different (equally valid) parameters. Its
-// Cost() reports the repair's price. WithWorkers and WithMaxRounds apply;
+// Cost() reports the repair's price. WithMaxRounds applies;
 // the sampling seed is inherited from the snapshot's build, so no WithSeed
 // is needed.
 func ApplyDeltaCtx(ctx context.Context, snap *Snapshot, delta Delta, opts ...Option) (*Snapshot, error) {
@@ -309,7 +303,6 @@ func ApplyDeltaCtx(ctx context.Context, snap *Snapshot, delta Delta, opts ...Opt
 		return nil, err
 	}
 	return serve.ApplyDelta(ctx, snap, delta, serve.DeltaOptions{
-		Workers:   cfg.Workers,
 		MaxRounds: cfg.MaxRounds,
 	})
 }
@@ -335,7 +328,6 @@ func RunCongestCtx(ctx context.Context, g *Graph, factory CongestFactory, opts .
 		return CongestStats{}, nil, err
 	}
 	return congest.Run(g, factory, congest.Options{
-		Workers:   cfg.Workers,
 		MaxRounds: cfg.MaxRounds,
 		Ctx:       ctx,
 	})

@@ -63,7 +63,6 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 		listen     = fs.String("listen", ":8080", "serving listener address")
 		adminL     = fs.String("admin-listen", ":9090", "admin listener address (/metrics, /healthz, /readyz)")
 		executors  = fs.Int("executors", 0, "executor pool size (0 = GOMAXPROCS)")
-		workers    = fs.Int("workers", 0, "scheduler parallelism of /v1/delta repairs (0 = sequential)")
 		queueDepth = fs.Int("queue-depth", 0, "admission capacity before shedding 429s (0 = 4x executors)")
 		batchWin   = fs.Duration("batch-window", 0, "sssp coalescing window (0 = off)")
 		maxBatch   = fs.Int("max-batch", 0, "flush a window early at this many parked queries (0 = 64)")
@@ -96,7 +95,6 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 		BatchWindow:    *batchWin,
 		MaxBatch:       *maxBatch,
 		DefaultTimeout: *timeout,
-		DeltaWorkers:   *workers,
 		Metrics:        reg,
 	})
 	if err != nil {

@@ -14,20 +14,16 @@ import (
 // the whole facade — shortcut constructions, the application family (MST,
 // min cut, SSSP, 2-ECSS), snapshot builds, servers, and raw CONGEST runs —
 // replacing the seven per-package v1 Options structs that each re-declared
-// Rng/Workers/Diameter by hand. Fields are exported for introspection;
+// Rng/Diameter by hand. Fields are exported for introspection;
 // callers normally never touch a Config directly:
 //
 //	res, err := repro.MSTDistributedCtx(ctx, g, w,
-//	    repro.WithSeed(42), repro.WithDiameter(6), repro.WithWorkers(-1))
+//	    repro.WithSeed(42), repro.WithDiameter(6))
 //
 // Zero values mean "use the entry point's default". Options that do not
 // apply to an entry point are ignored by it (WithExecutors on a shortcut
 // build, say), so one option list can drive a whole pipeline.
 type Config struct {
-	// Workers selects execution parallelism for the CONGEST engine and the
-	// scheduler drain: 0/1 sequential, k > 1 a k-worker sharded pool,
-	// negative one worker per CPU. Results are identical for every setting.
-	Workers int
 	// Seed seeds the deterministic randomness when HasSeed is set: the
 	// entry point derives a *rand.Rand via splitmix64, so equal seeds give
 	// bit-identical results everywhere. Rng, when non-nil, takes priority
@@ -120,9 +116,6 @@ func (c *Config) fail(format string, args ...any) {
 		c.err = reproerr.Invalid("repro.Config", format, args...)
 	}
 }
-
-// WithWorkers selects execution parallelism (see Config.Workers).
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithSeed seeds all randomness deterministically: the entry point derives
 // its *rand.Rand from seed via splitmix64, replacing v1's raw *rand.Rand

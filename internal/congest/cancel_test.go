@@ -53,12 +53,12 @@ func cancelTestGraph(t *testing.T) *graph.Graph {
 // trigger, and no worker goroutines leak.
 func TestEngineCancelMidRun(t *testing.T) {
 	g := cancelTestGraph(t)
-	for _, workers := range []int{0, 4, -1} {
+	for _, workers := range []int{1, 4, 0} {
 		defer testx.LeakCheck(t.Errorf)()
 		ctx, cancel := context.WithCancel(context.Background())
 		const trigger = 5
 		factory := func(*View) Program { return &chatterNode{trigger: trigger, cancel: cancel} }
-		stats, _, err := Run(g, factory, Options{Workers: workers, Ctx: ctx})
+		stats, _, err := engineFor(workers, Options{Ctx: ctx}).Run(g, factory)
 		cancel()
 		if err == nil {
 			t.Fatalf("workers=%d: run completed despite cancellation", workers)

@@ -11,8 +11,8 @@
 //
 // A single Engine (see NewEngine and Options) executes Program semantics in
 // two modes sharing one flat-buffer delivery path: a deterministic
-// single-goroutine lock-step mode (Workers ≤ 1) and a sharded worker pool
-// (Workers > 1) with per-round barriers. Because CONGEST permits at most one
+// single-goroutine lock-step mode on a one-CPU host and a sharded worker
+// pool, one worker per CPU, with per-round barriers otherwise. Because CONGEST permits at most one
 // message per directed arc per round, delivery is a direct write into a
 // per-arc slot (slot graph.ArcReverse(a) for a send on arc a) guarded by an
 // occupancy byte: no sorting, no per-delivery allocation, and inbox

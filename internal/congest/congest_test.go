@@ -10,7 +10,16 @@ import (
 )
 
 // seq returns the deterministic single-goroutine engine.
-func seq(maxRounds int) Engine { return NewEngine(Options{MaxRounds: maxRounds}) }
+func seq(maxRounds int) Engine { return engineFor(1, Options{MaxRounds: maxRounds}) }
+
+// engineFor returns the engine NewEngine(opts) builds on a host with p CPUs
+// (0 = this host).
+func engineFor(p int, opts Options) Engine {
+	old := poolSize
+	poolSize = p
+	defer func() { poolSize = old }()
+	return NewEngine(opts)
+}
 
 // engines lists the execution modes every primitive test runs under: the
 // sequential path, a shard-per-CPU pool, and an intentionally odd shard
@@ -24,8 +33,8 @@ func engines(maxRounds int) []struct {
 		eng  Engine
 	}{
 		{"sequential", seq(maxRounds)},
-		{"pool", NewEngine(Options{Workers: -1, MaxRounds: maxRounds})},
-		{"pool3", NewEngine(Options{Workers: 3, MaxRounds: maxRounds})},
+		{"pool", NewEngine(Options{MaxRounds: maxRounds})},
+		{"pool3", engineFor(3, Options{MaxRounds: maxRounds})},
 	}
 }
 
@@ -271,7 +280,7 @@ func TestEnginesProduceIdenticalResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		goTree, goStats, err := RunBFS(g, root, NewEngine(Options{Workers: -1, MaxRounds: 1000}))
+		goTree, goStats, err := RunBFS(g, root, NewEngine(Options{MaxRounds: 1000}))
 		if err != nil {
 			t.Fatal(err)
 		}

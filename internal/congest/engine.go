@@ -12,16 +12,6 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers selects the execution mode. 0 or 1 runs every node on a single
-	// goroutine in lock-step; k > 1 runs a pool of k workers over contiguous
-	// arc-balanced node ranges with a barrier between rounds; any negative
-	// value selects runtime.GOMAXPROCS(0) workers. Every setting produces
-	// bit-for-bit identical program outputs and Stats on runs that complete
-	// without error. (On an error-aborted run the same error is reported,
-	// but the accompanying Stats and program states are best-effort and may
-	// differ across modes: the sequential engine stops at the erroring node,
-	// while other shards of the pool finish their round.)
-	Workers int
 	// MaxRounds aborts a run with ErrMaxRounds when a round beyond it would
 	// be needed. 0 selects a generous default (1<<30).
 	MaxRounds int
@@ -59,41 +49,37 @@ type Engine interface {
 	Run(g *graph.Graph, factory Factory) (Stats, []Program, error)
 }
 
-// NewEngine returns the engine selected by opts.
+// poolSize, when positive, replaces runtime.GOMAXPROCS(0) as the worker
+// count NewEngine sizes its pool from. The worker count is unobservable in
+// outputs and Stats; it is a variable so tests can pin that on any host.
+var poolSize = 0
+
+// NewEngine returns the engine for this host: with one CPU available to the
+// Go scheduler (runtime.GOMAXPROCS), every node runs on the calling
+// goroutine in lock-step; with more, a pool of one worker per CPU runs
+// contiguous arc-balanced node ranges with a barrier between rounds. Both
+// produce bit-for-bit identical program outputs and Stats on runs that
+// complete without error. (On an error-aborted run the same error is
+// reported, but the accompanying Stats and program states are best-effort
+// and may differ: the sequential engine stops at the erroring node, while
+// other shards of the pool finish their round.)
 func NewEngine(opts Options) Engine {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 1 << 30
 	}
-	if opts.Workers < 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
+	p := poolSize
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
 	}
-	if opts.Workers <= 1 {
+	if p <= 1 {
 		return &seqEngine{opts}
 	}
-	return &poolEngine{opts}
+	return &poolEngine{opts, p}
 }
 
 // Run is shorthand for NewEngine(opts).Run(g, factory).
 func Run(g *graph.Graph, factory Factory, opts Options) (Stats, []Program, error) {
 	return NewEngine(opts).Run(g, factory)
-}
-
-// RunSequential executes the programs in deterministic lock-step on a single
-// goroutine. Unlike Options.MaxRounds, maxRounds ≤ 0 is kept literally (the
-// seed behavior: any non-quiescent run exceeds the bound immediately).
-//
-// Deprecated: use NewEngine(Options{MaxRounds: maxRounds}).Run.
-func RunSequential(g *graph.Graph, factory Factory, maxRounds int) (Stats, []Program, error) {
-	return (&seqEngine{Options{MaxRounds: maxRounds}}).Run(g, factory)
-}
-
-// RunGoroutines executes the programs on the sharded worker pool with one
-// worker per available CPU. Like RunSequential, maxRounds ≤ 0 is kept
-// literally.
-//
-// Deprecated: use NewEngine(Options{Workers: -1, MaxRounds: maxRounds}).Run.
-func RunGoroutines(g *graph.Graph, factory Factory, maxRounds int) (Stats, []Program, error) {
-	return (&poolEngine{Options{Workers: runtime.GOMAXPROCS(0), MaxRounds: maxRounds}}).Run(g, factory)
 }
 
 // flatState is the arc-indexed run state shared by both execution modes.
@@ -226,13 +212,16 @@ func (e *seqEngine) Run(g *graph.Graph, factory Factory) (Stats, []Program, erro
 	}
 }
 
-// poolEngine runs nodes on P persistent workers over contiguous node shards
+// poolEngine runs nodes on p persistent workers over contiguous node shards
 // with a barrier between rounds. Shard boundaries are chosen to balance arc
 // counts, so dense regions do not serialize on one worker. Determinism needs
 // no locks: each directed arc has exactly one sender, so workers write
 // disjoint slots of the next buffer, and receivers consume slots of their
 // own shard only.
-type poolEngine struct{ opts Options }
+type poolEngine struct {
+	opts Options
+	p    int
+}
 
 // shardResult is one worker's per-round report to the coordinator.
 type shardResult struct {
@@ -243,7 +232,7 @@ type shardResult struct {
 
 func (e *poolEngine) Run(g *graph.Graph, factory Factory) (Stats, []Program, error) {
 	n := g.NumNodes()
-	p := e.opts.Workers
+	p := e.p
 	if p > n {
 		p = n
 	}

@@ -54,14 +54,14 @@ func BenchmarkEngineBFS(b *testing.B) {
 			})
 		})
 		b.Run(fmt.Sprintf("n=%d/flat-sequential", n), func(b *testing.B) {
-			eng := NewEngine(Options{MaxRounds: 1 << 20})
+			eng := seq(1 << 20)
 			benchEngineOnce(b, g, func() (Stats, error) {
 				_, st, err := RunBFS(g, 0, eng)
 				return st, err
 			})
 		})
 		b.Run(fmt.Sprintf("n=%d/flat-pool", n), func(b *testing.B) {
-			eng := NewEngine(Options{Workers: -1, MaxRounds: 1 << 20})
+			eng := NewEngine(Options{MaxRounds: 1 << 20})
 			benchEngineOnce(b, g, func() (Stats, error) {
 				_, st, err := RunBFS(g, 0, eng)
 				return st, err

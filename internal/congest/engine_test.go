@@ -35,9 +35,10 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // workerSweeps returns the worker counts the pool is exercised with,
-// including counts that do not divide n and a count above NumCPU.
+// including counts that do not divide n and a count above NumCPU; 0 is
+// the engine NewEngine picks on this host.
 func workerSweeps() []int {
-	return []int{2, 3, 5, 8, runtime.GOMAXPROCS(0), 2*runtime.GOMAXPROCS(0) + 1, -1}
+	return []int{2, 3, 5, 8, runtime.GOMAXPROCS(0), 2*runtime.GOMAXPROCS(0) + 1, 0}
 }
 
 // TestEngineEquivalenceProperty asserts the tentpole determinism guarantee:
@@ -63,7 +64,7 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range workerSweeps() {
-				eng := NewEngine(Options{Workers: workers, MaxRounds: 1 << 20})
+				eng := engineFor(workers, Options{MaxRounds: 1 << 20})
 				tree, stats, err := RunBFS(g, root, eng)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -114,8 +115,8 @@ func TestFlatEngineMatchesSeedEngine(t *testing.T) {
 			if seedStats != goSeedStats || !reflect.DeepEqual(seedTree.Dist, goSeedTree.Dist) {
 				t.Fatal("seed engines disagree with each other")
 			}
-			for _, workers := range []int{0, 4, -1} {
-				tree, stats, err := RunBFS(g, root, NewEngine(Options{Workers: workers, MaxRounds: 1 << 20}))
+			for _, workers := range []int{1, 4, 0} {
+				tree, stats, err := RunBFS(g, root, engineFor(workers, Options{MaxRounds: 1 << 20}))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -155,7 +156,7 @@ func childPortsEqual(a, b [][]int) bool {
 // TestEngineWorkersExceedNodes covers the degenerate pool configurations.
 func TestEngineWorkersExceedNodes(t *testing.T) {
 	g := gen.Path(5)
-	tree, stats, err := RunBFS(g, 0, NewEngine(Options{Workers: 64, MaxRounds: 100}))
+	tree, stats, err := RunBFS(g, 0, engineFor(64, Options{MaxRounds: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,15 +165,15 @@ func TestEngineWorkersExceedNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats != wantStats || !reflect.DeepEqual(tree.Dist, want.Dist) {
-		t.Errorf("Workers=64 on n=5 differs: %+v vs %+v", stats, wantStats)
+		t.Errorf("64 workers on n=5 differs: %+v vs %+v", stats, wantStats)
 	}
 }
 
 // TestEngineEmptyGraph: a run over zero nodes terminates in zero rounds.
 func TestEngineEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0).Build()
-	for _, workers := range []int{0, 4} {
-		stats, progs, err := Run(g, func(v *View) Program { return &bfsNode{root: 0} }, Options{Workers: workers, MaxRounds: 10})
+	for _, workers := range []int{1, 4} {
+		stats, progs, err := engineFor(workers, Options{MaxRounds: 10}).Run(g, func(v *View) Program { return &bfsNode{root: 0} })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func E15Dynamic(cfg Config) (*Table, error) {
 
 	buildStart := time.Now()
 	snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Workers: cfg.Workers,
+		Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor,
 		Ctx: cfg.Ctx,
 	})
 	if err != nil {
@@ -51,7 +51,7 @@ func E15Dynamic(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("E15 delta=%d: %w", size, err)
 		}
 		updStart := time.Now()
-		next, err := serve.ApplyDelta(cfg.ctx(), snap, d, serve.DeltaOptions{Workers: cfg.Workers})
+		next, err := serve.ApplyDelta(cfg.ctx(), snap, d, serve.DeltaOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("E15 delta=%d: %w", size, err)
 		}
@@ -64,7 +64,5 @@ func E15Dynamic(cfg Config) (*Table, error) {
 	t.AddNote("every delta is applied to the same base snapshot; repaired results are bit-identical to a from-scratch rebuild (differential suite)")
 	t.AddNote("update latency scales with the touched-part count, not n: the serving layer stays live under continuous mutation (hot-swap via serve.Store)")
 	t.SetMeta("build_ms", buildMS)
-	t.SetMeta("workers", cfg.Workers)
 	return t, nil
 }
-

@@ -54,7 +54,7 @@ func E17Load(cfg Config) (*Table, error) {
 	}
 	buildStart := time.Now()
 	snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rng, LogFactor: cfg.LogFactor, Workers: cfg.Workers, Ctx: cfg.Ctx,
+		Rng: rng, LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E17: snapshot: %w", err)
@@ -111,7 +111,7 @@ func E17Load(cfg Config) (*Table, error) {
 		} else {
 			backend = &load.LibraryBackend{Srv: srv}
 		}
-		r := &load.Runner{Schedule: sched, Backend: backend, Store: store, UpdateWorkers: cfg.Workers}
+		r := &load.Runner{Schedule: sched, Backend: backend, Store: store}
 		return r.Run(cfg.ctx())
 	}
 

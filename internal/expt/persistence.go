@@ -45,7 +45,7 @@ func E16Persistence(cfg Config) (*Table, error) {
 		}
 		buildStart := time.Now()
 		snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-			Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Workers: cfg.Workers,
+			Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor,
 			Ctx: cfg.Ctx,
 		})
 		if err != nil {
@@ -126,6 +126,5 @@ func E16Persistence(cfg Config) (*Table, error) {
 	t.AddNote("load mmap is the default (checksums + deep structural verification); noverify maps and slices only")
 	t.AddNote("first query on the loaded mapping verified bit-identical to the built snapshot")
 	t.AddNote("speedup = build s / load mmap ms: the cold-start factor a replica gains by shipping bytes")
-	t.SetMeta("workers", cfg.Workers)
 	return t, nil
 }

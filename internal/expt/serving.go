@@ -61,7 +61,7 @@ func E14Serving(cfg Config) (*Table, error) {
 		}
 		buildStart := time.Now()
 		snap, err = serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-			Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Workers: cfg.Workers,
+			Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor,
 			Ctx: cfg.Ctx,
 		})
 		if err != nil {
@@ -84,7 +84,7 @@ func E14Serving(cfg Config) (*Table, error) {
 	for i := 0; i < rebuildQueries; i++ {
 		if _, err := sssp.TreeApprox(g, w, graph.NodeID(i), sssp.TreeOptions{
 			Rng: cfg.rng(int64(17_000_000_000 + i)), Diameter: 6,
-			LogFactor: cfg.LogFactor, Workers: cfg.Workers, Ctx: cfg.Ctx,
+			LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 		}); err != nil {
 			return nil, fmt.Errorf("E14: rebuild baseline: %w", err)
 		}
@@ -173,7 +173,6 @@ func E14Serving(cfg Config) (*Table, error) {
 	t.AddNote("sim rounds/query is the marginal simulated cost of one tree walk, batched or not")
 	t.SetMeta("build_ms", float64(buildTime)/float64(time.Millisecond))
 	t.SetMeta("rebuild_ms_per_query", float64(rebuildPer)/float64(time.Millisecond))
-	t.SetMeta("workers", cfg.Workers)
 	return t, nil
 }
 

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,17 +9,36 @@ import (
 	"testing"
 )
 
-func readTrajectory(t *testing.T, path string) trajectoryFile {
+type decodedTrajectory struct {
+	Trajectory []TrajectoryEntry `json:"trajectory"`
+}
+
+func readTrajectory(t *testing.T, path string) decodedTrajectory {
+	t.Helper()
+	var tf decodedTrajectory
+	decodeFile(t, path, &tf)
+	return tf
+}
+
+func decodeFile(t *testing.T, path string, v any) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tf trajectoryFile
-	if err := json.Unmarshal(raw, &tf); err != nil {
-		t.Fatalf("trajectory file is not valid JSON: %v\n%s", err, raw)
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("file is not valid JSON: %v\n%s", err, raw)
 	}
-	return tf
+}
+
+// compactJSON returns raw without insignificant whitespace.
+func compactJSON(t *testing.T, raw []byte) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, raw); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 func sampleTable(title string) *Table {
@@ -65,12 +85,17 @@ func TestAppendJSONLegacyUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(f, RunInfo{Seed: 7, Engine: "pool"}, []*Table{sampleTable("old")}); err != nil {
+	if err := WriteJSON(f, RunInfo{Seed: 7}, []*Table{sampleTable("old")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	var legacy struct {
+		Run json.RawMessage `json:"run"`
+	}
+	decodeFile(t, path, &legacy)
 
 	if err := AppendJSON(path, "new", RunInfo{Seed: 8}, []*Table{sampleTable("new")}); err != nil {
 		t.Fatal(err)
@@ -81,10 +106,62 @@ func TestAppendJSONLegacyUpgrade(t *testing.T) {
 	}
 	old := tf.Trajectory[0]
 	if old.Seq != 0 || old.Tag != "legacy" || old.RecordedAt != "" ||
-		old.Run.Seed != 7 || old.Run.Engine != "pool" || old.Tables[0].Title != "old" {
+		old.Run.Seed != 7 || old.Tables[0].Title != "old" {
 		t.Fatalf("legacy entry not preserved: %+v", old)
 	}
+	var upgraded struct {
+		Trajectory []struct {
+			Run json.RawMessage `json:"run"`
+		} `json:"trajectory"`
+	}
+	decodeFile(t, path, &upgraded)
+	if got, want := compactJSON(t, upgraded.Trajectory[0].Run), compactJSON(t, legacy.Run); got != want {
+		t.Fatalf("legacy run rewritten:\n got %s\nwant %s", got, want)
+	}
 	if tf.Trajectory[1].Seq != 1 || tf.Trajectory[1].Tag != "new" {
+		t.Fatalf("appended entry wrong: %+v", tf.Trajectory[1])
+	}
+}
+
+// TestAppendJSONKeepsRecordedEntries pins that an append writes earlier
+// entries back byte for byte: fields RunInfo does not have (here the
+// engine/workers pair older runs recorded, and an unknown entry field)
+// survive.
+func TestAppendJSONKeepsRecordedEntries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_old.json")
+	old := json.RawMessage(`{"seq":0,"recorded_at":"2024-01-02T03:04:05Z","tag":"old",` +
+		`"run":{"engine":"pool","workers":2,"seed":7,"canceled":false},` +
+		`"tables":[{"title":"old","columns":["x"],"rows":[["1"]]}],"ordered_visits":123}`)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(trajectoryFile{Trajectory: []json.RawMessage{old}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before trajectoryFile
+	decodeFile(t, path, &before)
+
+	if err := AppendJSON(path, "new", RunInfo{Seed: 8}, []*Table{sampleTable("new")}); err != nil {
+		t.Fatal(err)
+	}
+	var after trajectoryFile
+	decodeFile(t, path, &after)
+	if len(after.Trajectory) != 2 {
+		t.Fatalf("got %d entries, want 2", len(after.Trajectory))
+	}
+	if !bytes.Equal(after.Trajectory[0], before.Trajectory[0]) {
+		t.Fatalf("recorded entry rewritten:\n got %s\nwant %s", after.Trajectory[0], before.Trajectory[0])
+	}
+	if got := compactJSON(t, after.Trajectory[0]); got != string(old) {
+		t.Fatalf("recorded entry lost fields:\n got %s\nwant %s", got, old)
+	}
+	if tf := readTrajectory(t, path); tf.Trajectory[1].Seq != 1 || tf.Trajectory[1].Tag != "new" {
 		t.Fatalf("appended entry wrong: %+v", tf.Trajectory[1])
 	}
 }

@@ -56,10 +56,6 @@ type Options struct {
 	// DefaultTimeout bounds requests that carry no Request-Timeout header.
 	// 0 means no implicit deadline.
 	DefaultTimeout time.Duration
-	// DeltaWorkers selects the scheduler parallelism of /v1/delta repairs
-	// (serve.DeltaOptions.Workers); 0 = sequential, identical results
-	// either way.
-	DeltaWorkers int
 	// DeltaMaxRounds bounds each delta repair's scheduled verification
 	// phases (0 = default).
 	DeltaMaxRounds int
@@ -396,7 +392,6 @@ func (g *Gateway) handleDelta(w http.ResponseWriter, r *http.Request) {
 	g.deltaMu.Lock()
 	defer g.deltaMu.Unlock()
 	repaired, err := serve.ApplyDelta(ctx, g.store.Snapshot(), delta, serve.DeltaOptions{
-		Workers:   g.opts.DeltaWorkers,
 		MaxRounds: g.opts.DeltaMaxRounds,
 	})
 	if err != nil {

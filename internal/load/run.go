@@ -25,8 +25,6 @@ type Runner struct {
 	// check verifies against. nil disables updates and the check — the
 	// external-lcsserve case, where the remote snapshot is out of reach.
 	Store *serve.Store
-	// UpdateWorkers is serve.DeltaOptions.Workers for the live repairs.
-	UpdateWorkers int
 }
 
 // Result is one scenario's outcome: offered-vs-delivered accounting, the
@@ -111,8 +109,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 				if !sleepUntil(ctx, timer, start, u.At) {
 					return
 				}
-				next, err := serve.ApplyDelta(ctx, chain[len(chain)-1], u.Delta,
-					serve.DeltaOptions{Workers: r.UpdateWorkers})
+				next, err := serve.ApplyDelta(ctx, chain[len(chain)-1], u.Delta, serve.DeltaOptions{})
 				if err != nil {
 					updErr = fmt.Errorf("update %d: %w", i, err)
 					return

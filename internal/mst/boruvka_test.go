@@ -43,7 +43,7 @@ func TestBoruvkaMatchesDistributed(t *testing.T) {
 				}
 				w := graph.NewUniformWeights(g.NumEdges(), rng)
 				dres, err := mst.Distributed(g, w, mst.DistOptions{
-					Rng: rng, LogFactor: 0.3, Workers: int(seed % 3),
+					Rng: rng, LogFactor: 0.3,
 				})
 				if err != nil {
 					t.Fatalf("%s n=%d seed=%d: distributed: %v", c.name, n, seed, err)

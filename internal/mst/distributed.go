@@ -32,11 +32,6 @@ type DistOptions struct {
 	// convergecast, result broadcast, fragment-ID exchange) are simulated
 	// and charged — the per-phase costs that dominate the framework.
 	SimulateConstruction bool
-	// Workers selects the execution parallelism of the simulated
-	// construction phases (congest.Options) and of the random-delay
-	// scheduled MWOE phases (sched.Options); 0 = sequential. All settings
-	// produce identical results.
-	Workers int
 	// DepthFactor as in shortcut.DistOptions (0 = 2).
 	DepthFactor float64
 	// MaxRounds bounds each scheduled phase (0 = default).
@@ -149,7 +144,6 @@ func DistributedScratch(g *graph.Graph, w graph.Weights, opts DistOptions, scrat
 				KnownDiameter: d,
 				DepthFactor:   depthFactor,
 				MaxRounds:     opts.MaxRounds,
-				Workers:       opts.Workers,
 				Ctx:           opts.Ctx,
 			})
 			if err != nil {
@@ -267,7 +261,6 @@ func mwoePhase(
 		MaxDelay:  int(math.Ceil(kd)),
 		Rng:       opts.Rng,
 		MaxRounds: opts.MaxRounds,
-		Workers:   opts.Workers,
 		Ctx:       opts.Ctx,
 	})
 	if err != nil {
@@ -320,7 +313,6 @@ func mwoePhase(
 		MaxDelay:  int(math.Ceil(kd)),
 		Rng:       opts.Rng,
 		MaxRounds: opts.MaxRounds,
-		Workers:   opts.Workers,
 		Ctx:       opts.Ctx,
 	})
 	if err != nil {

@@ -162,12 +162,11 @@ func (r *Runner) ParallelMinAggregateInto(dst []AggValue, g *graph.Graph, tasks 
 	}
 
 	d := &r.agg
-	d.prepare(g, opts.Workers)
+	d.prepare(g)
 	r.aggRun = aggRun{r: r, g: g, tasks: tasks, out: dst}
 	d.h = &r.aggRun
 
 	maxRounds := opts.maxRounds(64*(g.NumNodes()+len(tasks)) + r.starts.last + 64)
-	d.startPool()
 	stats, err := d.drive(&r.starts, maxRounds, opts)
 	d.stopPool()
 	return dst, stats, err

@@ -183,7 +183,7 @@ func (r *Runner) ParallelBFSInto(f *BFSForest, g *graph.Graph, tasks []BFSTask, 
 	}
 	n := g.NumNodes()
 	d := &r.bfs
-	p := d.prepare(g, opts.Workers)
+	p := d.prepare(g)
 	dense := len(tasks) > 0 && n > 0 && len(tasks) <= denseStateLimit/n
 	stride := (n + 63) / 64
 	if dense {
@@ -209,7 +209,6 @@ func (r *Runner) ParallelBFSInto(f *BFSForest, g *graph.Graph, tasks []BFSTask, 
 	d.h = &r.bfsRun
 
 	maxRounds := opts.maxRounds(64*(g.NumNodes()+len(tasks)) + r.starts.last + 64)
-	d.startPool()
 	stats, err := d.drive(&r.starts, maxRounds, opts)
 	d.stopPool()
 	// Extract even on ErrMaxRounds: partial outcomes are reported, as ever.

@@ -3,7 +3,7 @@ package sched
 import (
 	"runtime"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/reproerr"
@@ -18,7 +18,7 @@ import (
 // its queue empty — and that order is observable: when two same-round
 // tokens of one task race for an unvisited node, the earlier-listed arc
 // wins the Dist/Parent slot. The flat drain therefore preserves the
-// worklist order exactly, for every Workers setting:
+// worklist order exactly, for every shard count:
 //
 //   - Pops come first (one per active arc), so tokens pushed in round r are
 //     never delivered in round r. Each arc has exactly one owner shard (the
@@ -36,20 +36,33 @@ import (
 //     delivery that pushed them. A position is delivered by exactly one
 //     shard, so the merge is total and unambiguous.
 //
-// Hence outcomes and Stats are bit-for-bit identical across Workers
-// settings — and match the seed scheduler, whose sequential drain realizes
+// Hence outcomes and Stats are bit-for-bit identical across shard counts
+// — and match the seed scheduler, whose sequential drain realizes
 // the same order (pinned by TestFlatSchedulerMatchesSeed).
 
 const (
 	phasePop     = 0
 	phaseDeliver = 1
+	phaseStop    = 2
 )
 
+// spinLimit is how many times a waiting shard polls before it yields its
+// CPU with runtime.Gosched between polls.
+const spinLimit = 64
+
+// shardCount, when positive, replaces runtime.GOMAXPROCS(0) as the number of
+// shards a drain splits into. The shard count is unobservable in outcomes
+// and Stats; it is a variable so tests can pin that on any host.
+var shardCount = 0
+
 // shardedRoundMin is the snapshot size below which a pooled drain processes
-// the round inline on the coordinator instead of paying two barriers. The
-// inline path runs the identical ownership discipline, so the switch is
-// unobservable. It is a variable so tests can force the sharded path.
-var shardedRoundMin = 96
+// the round inline on the coordinator instead of paying two barriers and
+// the serial bucketing and merge around them; at 96 the pool cost the
+// ClusterChain repair path ~9% while 1024 kept the Erdős–Rényi builds'
+// gain. The inline path runs the identical ownership discipline, so the
+// switch is unobservable. It is a variable so tests can force the sharded
+// path.
+var shardedRoundMin = 1024
 
 // handler is the per-execution behavior plugged into a drainer: task starts
 // (run by the coordinator between rounds) and token deliveries (run by the
@@ -85,20 +98,31 @@ type drainer[T any] struct {
 	shardOf []int32 // node -> owning shard, when len(shards) > 1
 	h       handler[T]
 
+	// shardOf was computed for shardG split into shardP shards; later runs
+	// on the same graph and shard count reuse it.
+	shardG *graph.Graph
+	shardP int
+
 	active    []int32 // ordered worklist of non-empty arcs
 	snapshot  []int32
 	popped    []T
 	remain    []bool
 	directAct bool // inline round: send appends activations straight to active
 
-	wake    []chan uint8
-	barrier sync.WaitGroup
-	wg      sync.WaitGroup
+	// The helper pool: goroutine bodies kept across runs, and the spin
+	// barrier the coordinator drives them with (cmd = seq<<2 | phase).
+	loops    []func()
+	poolUp   bool
+	seq      uint32
+	startCmd uint32
+	cmd      atomic.Uint32
+	pending  atomic.Int32
 }
 
-// prepare binds the drainer to g with the requested worker count, resetting
-// all reused state, and returns the effective shard count.
-func (d *drainer[T]) prepare(g *graph.Graph, workers int) int {
+// prepare binds the drainer to g, resetting all reused state, and returns
+// the shard count: one per CPU the Go scheduler runs on, at most one per
+// node.
+func (d *drainer[T]) prepare(g *graph.Graph) int {
 	d.g = g
 	if len(d.arcs) != g.NumArcs() {
 		d.arcs = make([]arcQueue[T], g.NumArcs())
@@ -112,12 +136,9 @@ func (d *drainer[T]) prepare(g *graph.Graph, workers int) int {
 		d.epoch = 1
 	}
 
-	p := workers
-	if p < 0 {
+	p := shardCount
+	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		p = 1
 	}
 	if n := g.NumNodes(); p > n && n > 0 {
 		p = n
@@ -135,8 +156,9 @@ func (d *drainer[T]) prepare(g *graph.Graph, workers int) int {
 		s.newAct = s.newAct[:0]
 		s.actCur = 0
 	}
-	if p > 1 {
+	if p > 1 && (d.shardG != g || d.shardP != p) {
 		d.computeShardOf()
+		d.shardG, d.shardP = g, p
 	}
 	d.active = d.active[:0]
 	d.snapshot = d.snapshot[:0]
@@ -251,10 +273,14 @@ func (d *drainer[T]) round() int {
 	n := len(d.snapshot)
 	d.popped = resize(d.popped, n)
 	if len(d.shards) == 1 || n < shardedRoundMin {
+		d.stopPool() // idle helpers would spin through the inline rounds
 		d.directAct = true
 		d.roundInline()
 		d.directAct = false
 	} else {
+		if !d.poolUp {
+			d.startPool()
+		}
 		d.roundSharded()
 		d.mergeActivations()
 	}
@@ -311,30 +337,58 @@ func (d *drainer[T]) roundSharded() {
 	}
 }
 
-func (d *drainer[T]) phase(ph uint8) {
-	d.barrier.Add(len(d.shards))
-	for _, c := range d.wake {
-		c <- ph
+// phase runs one phase of a sharded round: the coordinator publishes the
+// command, runs shard 0 itself, and waits for the other shards to report.
+func (d *drainer[T]) phase(ph uint32) {
+	d.pending.Store(int32(len(d.shards) - 1))
+	d.seq++
+	d.cmd.Store(d.seq<<2 | ph)
+	if ph != phaseStop {
+		d.runPhase(0, ph)
 	}
-	d.barrier.Wait()
+	for spins := 0; d.pending.Load() != 0; spins++ {
+		if spins >= spinLimit {
+			runtime.Gosched()
+		}
+	}
 }
 
-func (d *drainer[T]) worker(w int) {
-	defer d.wg.Done()
+func (d *drainer[T]) runPhase(w int, ph uint32) {
 	s := &d.shards[w]
-	for ph := range d.wake[w] {
-		if ph == phasePop {
-			for _, pos := range s.pops {
-				arc := d.snapshot[pos]
-				d.popped[pos] = pop(d.arcs, &s.arena, arc)
-				d.remain[pos] = d.arcs[arc].qlen > 0
-			}
-		} else {
-			for _, pos := range s.delivs {
-				d.h.deliver(w, pos, d.snapshot[pos], d.popped[pos])
-			}
+	if ph == phasePop {
+		for _, pos := range s.pops {
+			arc := d.snapshot[pos]
+			d.popped[pos] = pop(d.arcs, &s.arena, arc)
+			d.remain[pos] = d.arcs[arc].qlen > 0
 		}
-		d.barrier.Done()
+	} else {
+		for _, pos := range s.delivs {
+			d.h.deliver(w, pos, d.snapshot[pos], d.popped[pos])
+		}
+	}
+}
+
+// worker runs shard w's half of every phase the coordinator publishes
+// until it publishes phaseStop.
+func (d *drainer[T]) worker(w int) {
+	last := d.startCmd
+	for {
+		c := d.cmd.Load()
+		for spins := 0; c == last; spins++ {
+			if spins >= spinLimit {
+				runtime.Gosched()
+			}
+			c = d.cmd.Load()
+		}
+		last = c
+		ph := c & 3
+		if ph != phaseStop {
+			d.runPhase(w, ph)
+		}
+		d.pending.Add(-1)
+		if ph == phaseStop {
+			return
+		}
 	}
 }
 
@@ -375,26 +429,29 @@ func (d *drainer[T]) mergeActivations() {
 	}
 }
 
-// startPool launches the worker pool when more than one shard is in play.
+// startPool launches the helper goroutines of shards 1..p-1 on the first
+// sharded round of a run. Their bodies are built once per shard and reused
+// by every later run, so a warm Runner starts its pool without allocating.
 func (d *drainer[T]) startPool() {
 	p := len(d.shards)
-	if p <= 1 {
-		return
+	for w := len(d.loops); w < p; w++ {
+		d.loops = append(d.loops, func() { d.worker(w) })
 	}
-	d.wake = make([]chan uint8, p)
-	for w := 0; w < p; w++ {
-		d.wake[w] = make(chan uint8, 1)
-		d.wg.Add(1)
-		go d.worker(w)
+	d.startCmd = d.cmd.Load()
+	for _, loop := range d.loops[1:p] {
+		go loop()
 	}
+	d.poolUp = true
 }
 
+// stopPool stops the helpers startPool launched, if any, and waits until
+// each has seen the stop.
 func (d *drainer[T]) stopPool() {
-	for _, c := range d.wake {
-		close(c)
+	if !d.poolUp {
+		return
 	}
-	d.wg.Wait()
-	d.wake = nil
+	d.phase(phaseStop)
+	d.poolUp = false
 }
 
 // maxLoad returns the largest realized per-arc token count of this run.

@@ -1,7 +1,7 @@
 package sched
 
-// Seed-equivalence property tests: the flat scheduler, under every Workers
-// setting and both drain paths, must reproduce the seed scheduler's
+// Seed-equivalence property tests: the flat scheduler, under every shard
+// count and both drain paths, must reproduce the seed scheduler's
 // outcomes bit-for-bit — visited sets, distances, parents, children orders,
 // aggregation results, and Stats — across seeds, graph shapes, and task
 // counts.
@@ -15,7 +15,18 @@ import (
 	"repro/internal/graph"
 )
 
-var equivWorkers = []int{0, 1, 2, 3, 8, -1}
+// equivWorkers are the shard counts the drain is pinned at; 0 is the
+// host's GOMAXPROCS.
+var equivWorkers = []int{1, 2, 3, 8, 0}
+
+// pinShards sets the drain's shard count (0 = the host's GOMAXPROCS) until
+// the test ends.
+func pinShards(t testing.TB, p int) {
+	t.Helper()
+	old := shardCount
+	shardCount = p
+	t.Cleanup(func() { shardCount = old })
+}
 
 type equivScenario struct {
 	name     string
@@ -167,8 +178,9 @@ func TestFlatSchedulerMatchesSeed(t *testing.T) {
 
 		for _, workers := range equivWorkers {
 			label := fmt.Sprintf("%s/workers=%d", sc.name, workers)
+			pinShards(t, workers)
 			f, stats, err := runner.ParallelBFS(sc.g, sc.tasks,
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(7)), Workers: workers})
+				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(7))})
 			if err != nil {
 				t.Fatalf("%s: flat BFS: %v", label, err)
 			}
@@ -178,7 +190,7 @@ func TestFlatSchedulerMatchesSeed(t *testing.T) {
 			compareBFS(t, label, sc.g, wantBFS, f)
 
 			gotAgg, aggStats, err := runner.ParallelMinAggregate(sc.g, flatAggTasksFrom(f, sc.tasks),
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(8)), Workers: workers})
+				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(8))})
 			if err != nil {
 				t.Fatalf("%s: flat aggregate: %v", label, err)
 			}
@@ -209,10 +221,11 @@ func TestFlatSchedulerMatchesSeedShardedRounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: seed BFS: %v", sc.name, err)
 		}
-		for _, workers := range []int{2, 5, -1} {
+		for _, workers := range []int{2, 5, 0} {
 			label := fmt.Sprintf("%s/sharded/workers=%d", sc.name, workers)
+			pinShards(t, workers)
 			f, stats, err := runner.ParallelBFS(sc.g, sc.tasks,
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(21)), Workers: workers})
+				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(21))})
 			if err != nil {
 				t.Fatalf("%s: flat BFS: %v", label, err)
 			}
@@ -229,12 +242,14 @@ func TestFlatSchedulerMatchesSeedShardedRounds(t *testing.T) {
 func TestRunnerReuseIsStateless(t *testing.T) {
 	scs := equivScenarios(t)
 	var reused Runner
-	// Warm the reused runner on every scenario once.
+	// Warm the reused runner on every scenario once, on two shards.
+	pinShards(t, 2)
 	for _, sc := range scs {
-		if _, _, err := reused.ParallelBFS(sc.g, sc.tasks, Options{Workers: 2}); err != nil {
+		if _, _, err := reused.ParallelBFS(sc.g, sc.tasks, Options{}); err != nil {
 			t.Fatalf("%s: warmup: %v", sc.name, err)
 		}
 	}
+	pinShards(t, 1)
 	for _, sc := range scs {
 		var fresh Runner
 		opts := Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(5))}
@@ -279,10 +294,11 @@ func TestFlatSchedulerMatchesSeedSparseState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: seed BFS: %v", sc.name, err)
 		}
-		for _, workers := range []int{0, 3} {
+		for _, workers := range []int{1, 3} {
 			label := fmt.Sprintf("%s/sparse/workers=%d", sc.name, workers)
+			pinShards(t, workers)
 			f, stats, err := runner.ParallelBFS(sc.g, sc.tasks,
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13)), Workers: workers})
+				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13))})
 			if err != nil {
 				t.Fatalf("%s: flat BFS: %v", label, err)
 			}

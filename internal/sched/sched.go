@@ -21,7 +21,8 @@
 // dense per-task visited/dist/parent arrays (with an epoch-tagged hash
 // fallback for huge task counts) — no maps, no steady-state allocation in
 // the round loop. A Runner can be reused across executions to amortize
-// every buffer; Options.Workers shards the drain across a worker pool with
+// every buffer. On a host with more than one CPU the drain is sharded
+// across a pool of one worker per CPU (runtime.GOMAXPROCS), with
 // bit-for-bit identical results (see drain.go for the determinism
 // argument).
 package sched
@@ -60,14 +61,6 @@ type Options struct {
 	// Rng supplies the shared randomness for start delays. Must be non-nil
 	// when MaxDelay > 0.
 	Rng *rand.Rand
-	// Workers selects the execution mode of the drain. 0 or 1 runs the
-	// deterministic single-goroutine path; k > 1 shards each round's token
-	// deliveries over a pool of k workers; any negative value selects
-	// runtime.GOMAXPROCS(0) workers. Every setting produces bit-for-bit
-	// identical outcomes and Stats. When Workers > 1, task filters
-	// (BFSTask.Allowed) are called concurrently and must be safe for
-	// concurrent read-only use — every filter in this repository is.
-	Workers int
 	// Ctx, when non-nil, is checked once per drain round: a canceled or
 	// expired context aborts the execution within one round with a
 	// reproerr.KindCanceled/KindDeadline error wrapping ctx.Err(). The
@@ -95,7 +88,11 @@ func (o Options) maxRounds(def int) int {
 // BFSTask describes one truncated BFS to grow: from Root, over the arcs
 // admitted by Allowed, to depth at most DepthLimit (< 0 for unbounded).
 type BFSTask struct {
-	Root       graph.NodeID
+	Root graph.NodeID
+	// Allowed, when non-nil, admits the arcs the BFS may follow. On a host
+	// with more than one CPU the drain's shards call filters concurrently,
+	// so a filter must be safe for concurrent read-only use — every filter
+	// in this repository is.
 	Allowed    graph.ArcFilter
 	DepthLimit int32
 }

@@ -1,13 +1,14 @@
 package sched
 
 // Old-vs-new scheduler benchmarks: the seed scheduler copy (seed_sched_test)
-// against the flat scheduler, sequential and pooled, plus the Runner-reuse
+// against the flat scheduler (pooled on a multi-CPU host), plus the Runner-reuse
 // path whose round loop and extraction must show 0 allocs/op in steady
 // state (checked in CI by the benchmark smoke step with -benchmem).
 
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -26,6 +27,29 @@ func benchBFSWorkload(b *testing.B, n int) (*graph.Graph, []BFSTask) {
 		tasks[i] = BFSTask{Root: graph.NodeID(rng.Intn(g.NumNodes())), DepthLimit: 8}
 	}
 	return g, tasks
+}
+
+var warmGoroutines sync.Once
+
+// warmGoroutineFreeLists runs pooled drains until the Go runtime's free
+// lists hold the goroutine descriptors a drain's helpers need. A drain
+// starts its helper goroutines afresh, and the runtime allocates a
+// descriptor for a new goroutine only while those process-wide lists are
+// still filling (it never frees one); without this, a one-iteration
+// benchmark would charge that once-per-process cost to its timed drain.
+// On one CPU no drain starts a helper and this does nothing measurable.
+func warmGoroutineFreeLists(b *testing.B) {
+	b.Helper()
+	warmGoroutines.Do(func() {
+		g, tasks := benchBFSWorkload(b, 2000)
+		var runner Runner
+		var f BFSForest
+		for i := 0; i < 1024; i++ {
+			if _, err := runner.ParallelBFSInto(&f, g, tasks, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func reportMsgRate(b *testing.B, messages int64) {
@@ -74,38 +98,13 @@ func BenchmarkParallelBFSFlat(b *testing.B) {
 			if _, err := runner.ParallelBFSInto(&f, g, tasks, Options{MaxDelay: 16, Rng: rng}); err != nil {
 				b.Fatal(err) // warmup: reach the Runner's steady state
 			}
+			warmGoroutineFreeLists(b)
 			var messages int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng.Seed(1) // identical schedule every iteration
 				stats, err := runner.ParallelBFSInto(&f, g, tasks, Options{MaxDelay: 16, Rng: rng})
-				if err != nil {
-					b.Fatal(err)
-				}
-				messages += stats.Messages
-			}
-			reportMsgRate(b, messages)
-		})
-	}
-}
-
-func BenchmarkParallelBFSFlatPool(b *testing.B) {
-	for _, sz := range benchSizes(b) {
-		b.Run(sz.name, func(b *testing.B) {
-			g, tasks := benchBFSWorkload(b, sz.n)
-			rng := rand.New(rand.NewSource(1))
-			var runner Runner
-			var f BFSForest
-			if _, err := runner.ParallelBFSInto(&f, g, tasks, Options{MaxDelay: 16, Rng: rng, Workers: -1}); err != nil {
-				b.Fatal(err) // warmup: reach the Runner's steady state
-			}
-			var messages int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng.Seed(1) // identical schedule every iteration
-				stats, err := runner.ParallelBFSInto(&f, g, tasks, Options{MaxDelay: 16, Rng: rng, Workers: -1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -182,6 +181,7 @@ func BenchmarkParallelMinAggregateFlat(b *testing.B) {
 			if dst, _, err = runner.ParallelMinAggregateInto(dst, g, flatTasks, Options{MaxDelay: 16, Rng: rng}); err != nil {
 				b.Fatal(err) // warmup: reach the Runner's steady state
 			}
+			warmGoroutineFreeLists(b)
 			var messages int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -216,6 +216,7 @@ func BenchmarkParallelBFSFlatCtx(b *testing.B) {
 			if _, err := runner.ParallelBFSInto(&f, g, tasks, opts); err != nil {
 				b.Fatal(err) // warmup: reach the Runner's steady state
 			}
+			warmGoroutineFreeLists(b)
 			var messages int64
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -9,7 +9,7 @@ package sched
 //   - the old-vs-new benchmarks in sched_bench_test.go, so the perf
 //     trajectory of the scheduler stays measurable against the seed;
 //   - TestFlatSchedulerMatchesSeed, which pins the flat scheduler (every
-//     Workers setting) to the seed's observable behavior: identical visited
+//     shard count) to the seed's observable behavior: identical visited
 //     sets, distances, parents, children orders, aggregation results, and
 //     Stats.
 

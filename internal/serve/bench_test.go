@@ -48,7 +48,7 @@ func getBenchFixture(b *testing.B, n int) *benchFixture {
 		b.Fatal(err)
 	}
 	snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rng, Diameter: 6, LogFactor: 0.3, Workers: -1,
+		Rng: rng, Diameter: 6, LogFactor: 0.3,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -208,7 +208,7 @@ func BenchmarkSSSPRebuildPerQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := sssp.TreeApprox(fx.g, fx.w, graph.NodeID(i%fx.g.NumNodes()), sssp.TreeOptions{
-			Rng: rand.New(rand.NewSource(int64(i))), Diameter: 6, LogFactor: 0.3, Workers: -1,
+			Rng: rand.New(rand.NewSource(int64(i))), Diameter: 6, LogFactor: 0.3,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -242,7 +242,7 @@ func BenchmarkAmortization100k(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_, err := sssp.TreeApprox(fx.g, fx.w, graph.NodeID(i%fx.g.NumNodes()), sssp.TreeOptions{
-				Rng: rand.New(rand.NewSource(int64(i))), Diameter: 6, LogFactor: 0.3, Workers: -1,
+				Rng: rand.New(rand.NewSource(int64(i))), Diameter: 6, LogFactor: 0.3,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -276,7 +276,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 			b.StopTimer()
 			d := deltaOfSize(b, fx.snap.Graph(), 64, int64(i+1))
 			b.StartTimer()
-			if _, err := serve.ApplyDelta(context.Background(), fx.snap, d, serve.DeltaOptions{Workers: -1}); err != nil {
+			if _, err := serve.ApplyDelta(context.Background(), fx.snap, d, serve.DeltaOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -295,7 +295,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := serve.NewSnapshot(g2, w2, parts, serve.SnapshotOptions{
-				Rng: rand.New(rand.NewSource(int64(i + 1))), Diameter: 6, LogFactor: 0.3, Workers: -1,
+				Rng: rand.New(rand.NewSource(int64(i + 1))), Diameter: 6, LogFactor: 0.3,
 			}); err != nil {
 				b.Fatal(err)
 			}

@@ -28,10 +28,6 @@ var repairPool = sync.Pool{New: func() any { return new(repairState) }}
 
 // DeltaOptions configures ApplyDelta.
 type DeltaOptions struct {
-	// Workers selects the scheduler parallelism of the repair's
-	// verification phases; 0 = sequential. The repaired snapshot is
-	// identical for every setting.
-	Workers int
 	// MaxRounds bounds each scheduled verification phase (0 = default).
 	MaxRounds int
 }
@@ -132,7 +128,6 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, opts Delt
 		Diameter:  old.diameter,
 		LogFactor: old.logFactor,
 		Rng:       repairRng,
-		Workers:   opts.Workers,
 		MaxRounds: opts.MaxRounds,
 		Runner:    &rs.runner,
 		Forest:    &rs.forest,

@@ -247,10 +247,6 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 	}
 	for _, fam := range diffFamilies() {
 		for si, size := range sizes {
-			// Vary workers on both sides: the repaired and rebuilt
-			// snapshots must agree regardless.
-			repairWorkers := si % 3
-			rebuildWorkers := (si + 1) % 3
 			t.Run(fmt.Sprintf("%s/delta=%d", fam.name, size), func(t *testing.T) {
 				seed := int64(1000*si + 7)
 				genRng := rand.New(rand.NewSource(seed))
@@ -281,9 +277,7 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 					if d.Size() == 0 {
 						t.Fatalf("size %d: empty delta", size)
 					}
-					repaired, err = serve.ApplyDelta(context.Background(), base, d, serve.DeltaOptions{
-						Workers: repairWorkers,
-					})
+					repaired, err = serve.ApplyDelta(context.Background(), base, d, serve.DeltaOptions{})
 					if err != nil {
 						if attempt < 5 {
 							continue
@@ -301,7 +295,7 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 					t.Fatalf("size %d: generation %d, repair %v", size, repaired.Generation(), repaired.Repair())
 				}
 				rebuilt, err := serve.NewSnapshot(g1, w1, parts, serve.SnapshotOptions{
-					Rng: buildRng(), Diameter: diameter, LogFactor: 0.3, Workers: rebuildWorkers,
+					Rng: buildRng(), Diameter: diameter, LogFactor: 0.3,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -391,7 +385,7 @@ func TestDifferentialDeltaChain(t *testing.T) {
 	applied := uint64(0)
 	for step := 1; step <= 4; step++ {
 		d := diffDelta(g, partOf, 16, deltaRng)
-		next, err := serve.ApplyDelta(context.Background(), snap, d, serve.DeltaOptions{Workers: step % 2})
+		next, err := serve.ApplyDelta(context.Background(), snap, d, serve.DeltaOptions{})
 		if err != nil {
 			// A chain delta may disconnect a part; try a different one.
 			continue

@@ -20,7 +20,7 @@ import (
 )
 
 // persistFixture builds one serving snapshot for persistence tests.
-func persistFixture(t testing.TB, famIdx, n, workers int, seed int64) (*serve.Snapshot, *graph.Graph, [][]graph.NodeID) {
+func persistFixture(t testing.TB, famIdx, n int, seed int64) (*serve.Snapshot, *graph.Graph, [][]graph.NodeID) {
 	t.Helper()
 	fam := diffFamilies()[famIdx]
 	genRng := rand.New(rand.NewSource(seed))
@@ -31,7 +31,7 @@ func persistFixture(t testing.TB, famIdx, n, workers int, seed int64) (*serve.Sn
 		t.Fatal(err)
 	}
 	sn, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rand.New(rand.NewSource(seed + 1)), Diameter: 6, LogFactor: 0.3, Workers: workers,
+		Rng: rand.New(rand.NewSource(seed + 1)), Diameter: 6, LogFactor: 0.3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +104,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	for fi := range diffFamilies() {
 		fam := diffFamilies()[fi]
-		buildWorkers := fi % 3
 		t.Run(fam.name, func(t *testing.T) {
-			sn, g, parts := persistFixture(t, fi, n, buildWorkers, int64(500+fi))
+			sn, g, parts := persistFixture(t, fi, n, int64(500+fi))
 			path := filepath.Join(t.TempDir(), "snap.lcsnap")
 			if err := serve.WriteSnapshotFile(path, sn); err != nil {
 				t.Fatalf("write: %v", err)
@@ -145,7 +144,7 @@ func TestPersistRoundTrip(t *testing.T) {
 // snapshot shipped through a plain byte stream (no file, no mmap) still
 // serves identically.
 func TestPersistStreamRoundTrip(t *testing.T) {
-	sn, g, parts := persistFixture(t, 0, 240, 0, 900)
+	sn, g, parts := persistFixture(t, 0, 240, 900)
 	var buf bytes.Buffer
 	written, err := sn.WriteTo(&buf)
 	if err != nil {
@@ -170,7 +169,7 @@ func TestPersistStreamRoundTrip(t *testing.T) {
 // diameter) persisted losslessly.
 func TestPersistAfterDelta(t *testing.T) {
 	const n = 360
-	sn, g, parts := persistFixture(t, 0, n, 0, 1300)
+	sn, g, parts := persistFixture(t, 0, n, 1300)
 	partOf := partOfTable(g.NumNodes(), parts)
 	deltaRng := rand.New(rand.NewSource(1301))
 	var repaired *serve.Snapshot
@@ -226,7 +225,7 @@ func TestPersistAfterDelta(t *testing.T) {
 	for attempt := 0; ; attempt++ {
 		d2 := diffDelta(g1, partOf, 24, deltaRng)
 		nextMem, errM := serve.ApplyDelta(context.Background(), repaired, d2, serve.DeltaOptions{})
-		nextLoad, errL := serve.ApplyDelta(context.Background(), loaded, d2, serve.DeltaOptions{Workers: 1})
+		nextLoad, errL := serve.ApplyDelta(context.Background(), loaded, d2, serve.DeltaOptions{})
 		if (errM == nil) != (errL == nil) {
 			t.Fatalf("delta diverged: in-memory err %v, loaded err %v", errM, errL)
 		}
@@ -248,7 +247,7 @@ func TestPersistAfterDelta(t *testing.T) {
 // every mutation must surface as a typed *reproerr.Error — never a panic,
 // never a silently wrong snapshot.
 func TestPersistCorruption(t *testing.T) {
-	sn, _, _ := persistFixture(t, 0, 240, 0, 1700)
+	sn, _, _ := persistFixture(t, 0, 240, 1700)
 	var buf bytes.Buffer
 	if _, err := sn.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -307,7 +306,7 @@ func TestPersistCorruption(t *testing.T) {
 // subgraph) is refused with a typed KindCorrupt error on every load path,
 // never reinterpreted under the current layout.
 func TestPersistRejectsFormatVersion1(t *testing.T) {
-	sn, _, _ := persistFixture(t, 0, 120, 0, 1701)
+	sn, _, _ := persistFixture(t, 0, 120, 1701)
 	var buf bytes.Buffer
 	if _, err := sn.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -345,7 +344,7 @@ func TestPersistRejectsFormatVersion1(t *testing.T) {
 // TestPersistClose pins Close semantics: idempotent, nil-safe, a no-op for
 // built snapshots.
 func TestPersistClose(t *testing.T) {
-	sn, _, _ := persistFixture(t, 0, 240, 0, 2100)
+	sn, _, _ := persistFixture(t, 0, 240, 2100)
 	if err := sn.Close(); err != nil {
 		t.Fatalf("Close on built snapshot: %v", err)
 	}
@@ -376,7 +375,7 @@ func TestPersistClose(t *testing.T) {
 // bytes in under live traffic, bumps its epoch, rejects a stale replay of
 // the same chain, and the drained retired snapshot closes cleanly.
 func TestSwapFromFile(t *testing.T) {
-	sn, g, parts := persistFixture(t, 0, 360, 0, 2500)
+	sn, g, parts := persistFixture(t, 0, 360, 2500)
 	partOf := partOfTable(g.NumNodes(), parts)
 	deltaRng := rand.New(rand.NewSource(2501))
 	var repaired *serve.Snapshot

@@ -51,9 +51,6 @@ type SnapshotOptions struct {
 	Diameter int
 	// LogFactor as in shortcut.Options.
 	LogFactor float64
-	// Workers selects the build parallelism (CONGEST engine + scheduler
-	// drain); 0 = sequential. The built snapshot is identical either way.
-	Workers int
 	// DilationCutoff bounds the per-part exact dilation computation, as in
 	// Shortcuts.Dilation (0 selects 3000; negative = always exact).
 	DilationCutoff int
@@ -183,7 +180,6 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 		Rng:       opts.Rng,
 		Diameter:  d,
 		LogFactor: opts.LogFactor,
-		Workers:   opts.Workers,
 		MaxRounds: opts.MaxRounds,
 		Ctx:       opts.Ctx,
 	})

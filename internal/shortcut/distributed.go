@@ -21,12 +21,6 @@ type DistOptions struct {
 	// LogFactor and Reps as in Options (0 = paper defaults).
 	LogFactor float64
 	Reps      int
-	// Workers selects the execution parallelism of both the CONGEST engine
-	// (see congest.Options) and the random-delay scheduler (see
-	// sched.Options): 0 runs the deterministic sequential mode, k > 1 a
-	// k-worker sharded pool, negative one worker per CPU. All settings
-	// produce identical results.
-	Workers int
 	// DepthFactor scales the truncation depth of the scheduled BFS phase:
 	// depth = DepthFactor·kD·log2(n). 0 selects 2.
 	DepthFactor float64
@@ -108,7 +102,7 @@ func BuildDistributed(g *graph.Graph, p *Partition, opts DistOptions) (*DistResu
 		maxR = 64*n + 4096
 	}
 	start := time.Now()
-	eng := congest.NewEngine(congest.Options{Workers: opts.Workers, MaxRounds: maxR, Ctx: opts.Ctx})
+	eng := congest.NewEngine(congest.Options{MaxRounds: maxR, Ctx: opts.Ctx})
 
 	res := &DistResult{}
 
@@ -309,7 +303,6 @@ func tryGuess(
 		MaxDelay:  kdInt,
 		Rng:       opts.Rng,
 		MaxRounds: schedMax,
-		Workers:   opts.Workers,
 		Ctx:       opts.Ctx,
 	})
 	if err != nil {
@@ -359,7 +352,6 @@ func tryGuess(
 		MaxDelay:  kdInt,
 		Rng:       opts.Rng,
 		MaxRounds: schedMax,
-		Workers:   opts.Workers,
 		Ctx:       opts.Ctx,
 	})
 	if err != nil {

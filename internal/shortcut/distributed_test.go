@@ -144,7 +144,6 @@ func TestBuildDistributedGoroutineEngine(t *testing.T) {
 	res, err := BuildDistributed(hi.G, p, DistOptions{
 		Rng:           rng,
 		KnownDiameter: 3,
-		Workers:       -1,
 	})
 	if err != nil {
 		t.Fatal(err)

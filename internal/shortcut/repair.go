@@ -41,8 +41,7 @@ type RepairOptions struct {
 	// It never influences the repaired assignment — only the schedule under
 	// which the verification trees are grown.
 	Rng *rand.Rand
-	// Workers and MaxRounds as in DistOptions.
-	Workers   int
+	// MaxRounds as in DistOptions.
 	MaxRounds int
 	// Runner and Forest, when non-nil, are caller-held scheduler state
 	// (e.g. a serving executor's) reused for the verification phases; nil
@@ -247,7 +246,6 @@ func RepairDistributed(
 		MaxDelay:  kdInt,
 		Rng:       opts.Rng,
 		MaxRounds: opts.MaxRounds,
-		Workers:   opts.Workers,
 	}
 	if opts.Ctx != nil {
 		schedOpts.Ctx = opts.Ctx

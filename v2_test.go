@@ -376,7 +376,7 @@ func TestV2ApplyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := repro.ApplyDeltaCtx(ctx, base, d, repro.WithWorkers(2))
+	repaired, err := repro.ApplyDeltaCtx(ctx, base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
